@@ -24,9 +24,12 @@ from .circuits import (
     psi_k,
 )
 from .engine import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     ConvergenceError,
     FixedPointResult,
     apply_channel,
+    cesaro_limit,
     fixed_point_to_json,
     kraus_from,
     probe_fixed_points,
@@ -228,28 +231,22 @@ class DecodeResult:
 def decode_experiment(
     n: int,
     k: int,
-    tol: float = 1e-12,
-    max_iters: int = 1000,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> DecodeResult:
     """Encode k into the code state, build the decoder, solve the
-    self-consistency fixed point from the maximally mixed state, and read the
-    CR register out.  Non-convergence propagates as converged=False with
-    partial data rather than an exception.
-
-    The solve runs at a tighter tolerance than the engine default because the
-    stopping rule bounds the distance between successive iterates, not the
-    distance to the fixed point; the slowest register-width-3 channels
-    contract at ~0.96 per step, so a 1e-12 step residual is what delivers
-    readout populations accurate to well below 1e-9.
+    self-consistency fixed point reached from the maximally mixed state, and
+    read the CR register out.  The solve starts at that state's Cesaro limit,
+    so its trace records the one verification step.  Non-convergence
+    propagates as converged=False with partial data rather than an exception.
     """
     if n > 4:
         raise ValueError("decode_experiment supports n <= 4")
     circuit = build_decoder(n)
     cr_input = decode_cr_input(n, k)
     channel = kraus_from(circuit, cr_input)
-    result = solve_fixed_point(
-        channel, DensityMatrix.maximally_mixed(n), tol, max_iters
-    )
+    init = cesaro_limit(channel, DensityMatrix.maximally_mixed(n))
+    result = solve_fixed_point(channel, init, tol, max_iters)
     distribution = readout(circuit, cr_input, result.sigma)
     decoded = int(np.argmax(distribution))
     return DecodeResult(
@@ -313,8 +310,8 @@ def clone_fidelity(
     m: int,
     theta: float,
     phi: float,
-    tol: float = 1e-10,
-    max_iters: int = 20000,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> CloneResult:
     """Fidelity of reconstructing a qubit through the cloning circuit.
 
@@ -324,12 +321,6 @@ def clone_fidelity(
     and evaluates the squared-overlap fidelity against the input.  When the
     fixed point is not unique every representative is evaluated and the
     min/max across them is reported.
-
-    The iteration cap is higher than the engine default because cloning
-    channels contract slowly when the input sits near the polar extremes of
-    the reconstruction grid (as slowly as ~0.998 per step at register width
-    6), which needs upwards of 12000 iterations to push the step residual
-    under 1e-10.
     """
     if n + m > 8:
         raise ValueError("clone_fidelity supports n + m <= 8")
@@ -391,8 +382,8 @@ def bloch_sweep(
     m: int,
     theta_steps: int,
     phi_steps: int,
-    tol: float = 1e-10,
-    max_iters: int = 20000,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[list[SweepRow], list[tuple[float, float, str]]]:
     """Cloning fidelity over a Bloch-sphere grid.
 

@@ -32,7 +32,7 @@ from .analysis import (
     verify_uniqueness,
 )
 from .circuits import apply_circuit, build_cloner, build_decoder, build_encoder, two_qubit_gate_count
-from .engine import ConvergenceError
+from .engine import DEFAULT_MAX_ITERS, DEFAULT_TOL, ConvergenceError
 from .qsim import PureState
 
 __all__ = ["main", "parse_angle"]
@@ -81,8 +81,8 @@ def _complex_pairs(amps) -> list[dict]:
 def _add_common(p: argparse.ArgumentParser, *, tol: bool = False) -> None:
     p.add_argument("--out", default=None, help="write the artifact to this path instead of stdout")
     if tol:
-        p.add_argument("--tol", type=float, default=1e-10, help="fixed-point residual tolerance")
-        p.add_argument("--max-iters", type=int, default=1000, help="iteration cap per solve")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point residual tolerance")
+        p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS, help="iteration cap per solve")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,11 +13,12 @@ the map has one Kraus operator per CR basis value,
 For the register-swap circuits built in :mod:`dctcsim.circuits`, U factors as
 (conditional CTC blocks) x (register swap) and every K_i is rank one:
 K_i = |v_i><i| with v_i the conditional block for CR value i applied to the
-input placed on the CTC register.  The solver exploits that factorization
-when available (the channel then acts on the diagonal alone, so iterations
-reduce to a stochastic-matrix product); it evaluates the same map as the
-literal Kraus sum, which remains available for arbitrary channels and is
-what the oracle tests compare against.
+input placed on the CTC register.  The channel then acts on the diagonal
+alone, through the column-stochastic M = |<i|v_j>|^2, so the fixed point that
+iteration from any start reaches is given directly by the Cesaro projector
+of M.  The iterative solver checks each such fixed point in one step; it
+remains the only route for channels given as a literal Kraus list, and the
+oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "ConvergenceError",
     "kraus_from",
     "apply_channel",
+    "cesaro_limit",
     "solve_fixed_point",
     "probe_fixed_points",
     "readout",
@@ -53,6 +55,9 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 1000
 COMPLETENESS_ATOL = 1e-12
 CLUSTER_TOL = 1e-6
+# Singular values of M - I at or below this count as zero: the dimension of
+# ker(M - I) is the number of extremal fixed points.
+RANK_TOL = 1e-9
 _STAGNATION_WINDOW = 10
 
 
@@ -107,6 +112,7 @@ class CtcChannel:
             self._prep_vectors = None
             self._kraus = ops
         self._markov: np.ndarray | None = None
+        self._cesaro: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -136,6 +142,24 @@ class CtcChannel:
         if self._markov is None:
             self._markov = np.abs(self._prep_vectors) ** 2
         return self._markov
+
+    @property
+    def cesaro(self) -> np.ndarray | None:
+        """Projector Z = R (L^T R)^-1 L^T onto ker(M - I) along range(M - I).
+
+        R and L span the right and left null spaces of M - I.  Z p0 is the
+        limit of the running average of M^t p0; for an aperiodic M the
+        iterates converge to it as well.
+        """
+        m = self.markov
+        if m is None:
+            return None
+        if self._cesaro is None:
+            u, svals, vh = np.linalg.svd(m - np.eye(self.dim))
+            rank = int(np.sum(svals > RANK_TOL))
+            right, left = vh[rank:].T, u[:, rank:]
+            self._cesaro = right @ np.linalg.solve(left.T @ right, left.T)
+        return self._cesaro
 
     def apply_raw(self, mat: np.ndarray) -> np.ndarray:
         """Channel action on a raw matrix (no state validation)."""
@@ -233,41 +257,21 @@ class FixedPointResult:
     used_averaging: bool
 
 
-def _finalize_coords(
-    ch: CtcChannel, coords: np.ndarray, tol: float, iterations: int,
-    trace_rows: list[np.ndarray], used_averaging: bool,
-) -> FixedPointResult:
-    c = np.clip(coords, 0.0, None)
-    c /= c.sum()
+def cesaro_limit(ch: CtcChannel, init: DensityMatrix) -> DensityMatrix:
+    """The state the running average of N^t(init) converges to.
+
+    Needs a register-swap channel: N maps a state with diagonal p to
+    W diag(p) W^dag, and the diagonal to M p, so the limit is W diag(Z p0) W^dag
+    with Z the projector :attr:`CtcChannel.cesaro`.
+    """
+    if ch.cesaro is None:
+        raise ValueError("the Cesaro limit needs a channel with prep_vectors")
+    if init.qubit_count != ch.ctc_qubits:
+        raise ValueError("init width does not match channel")
+    p = np.clip(ch.cesaro @ init.diagonal(), 0.0, None)
     w = ch.prep_vectors
-    mat = (w * c) @ w.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    residual = trace_distance_raw(ch.apply_raw(mat), mat)
-    return FixedPointResult(
-        sigma=DensityMatrix(ch.ctc_qubits, mat),
-        residual=residual,
-        iterations=iterations,
-        converged=bool(residual <= tol),
-        trace=np.array(trace_rows),
-        used_averaging=used_averaging,
-    )
-
-
-def _finalize_matrix(
-    ch: CtcChannel, mat: np.ndarray, tol: float, iterations: int,
-    trace_rows: list[np.ndarray], used_averaging: bool,
-) -> FixedPointResult:
-    mat = 0.5 * (mat + mat.conj().T)
-    mat /= np.real(np.trace(mat))
-    residual = trace_distance_raw(ch.apply_raw(mat), mat)
-    return FixedPointResult(
-        sigma=DensityMatrix(ch.ctc_qubits, mat),
-        residual=residual,
-        iterations=iterations,
-        converged=bool(residual <= tol),
-        trace=np.array(trace_rows),
-        used_averaging=used_averaging,
-    )
+    mat = (w * (p / p.sum())) @ w.conj().T
+    return DensityMatrix(ch.ctc_qubits, 0.5 * (mat + mat.conj().T))
 
 
 def solve_fixed_point(
@@ -280,6 +284,9 @@ def solve_fixed_point(
     trace distance, falling back to a running (Cesaro) average of iterates if
     the residual stops decreasing over a 10-iteration window.
 
+    Started from a fixed point, such as :func:`cesaro_limit` returns, the
+    solve is a single step that gates the start on its residual.
+
     The reported residual is always the trace distance between N(sigma) and
     sigma for the returned sigma, recomputed after a final Hermitize-and-
     renormalize cleanup of accumulated float drift.
@@ -288,85 +295,46 @@ def solve_fixed_point(
         raise ValueError("tol must be positive")
     if init.qubit_count != ch.ctc_qubits:
         raise ValueError("init width does not match channel")
-    if ch.prep_vectors is not None:
-        return _solve_structured(ch, init, tol, max_iters)
-    return _solve_generic(ch, init, tol, max_iters)
-
-
-def _solve_structured(ch, init, tol, max_iters):
-    m = ch.markov
-    w = ch.prep_vectors
-    diag0 = init.diagonal()
-    coords = diag0.copy()               # simplex coords of omega_1
-    omega1 = (w * coords) @ w.conj().T
-    trace_rows = [diag0, m @ coords]
-    r0 = trace_distance_raw(omega1, init.matrix)
-    if r0 <= tol or max_iters == 1:
-        return _finalize_coords(ch, coords, tol, 1, trace_rows, False)
-    residuals = [r0]
-    iterations = 1
-    averaging = False
-    avg = None
-    avg_count = 0
-    while iterations < max_iters:
-        nxt = trace_rows[-1]            # coords of omega_{iterations+1}
-        iterations += 1
-        proxy = 0.5 * float(np.sum(np.abs(nxt - coords)))
-        trace_rows.append(m @ nxt)
-        residuals.append(proxy)
-        if averaging:
-            avg = (avg * avg_count + nxt) / (avg_count + 1)
-            avg_count += 1
-            avg_resid = 0.5 * float(np.sum(np.abs(m @ avg - avg)))
-            if avg_resid <= tol:
-                return _finalize_coords(ch, avg, tol, iterations, trace_rows, True)
-        if proxy <= tol:
-            return _finalize_coords(ch, nxt, tol, iterations, trace_rows, False)
-        if (
-            not averaging
-            and len(residuals) > _STAGNATION_WINDOW
-            and residuals[-1] >= residuals[-1 - _STAGNATION_WINDOW]
-        ):
-            averaging = True
-            avg = nxt.copy()
-            avg_count = 1
-        coords = nxt
-    final = avg if averaging else coords
-    return _finalize_coords(ch, final, tol, iterations, trace_rows, averaging)
-
-
-def _solve_generic(ch, init, tol, max_iters):
     omega = init.matrix
     trace_rows = [np.real(np.diagonal(omega)).copy()]
     residuals: list[float] = []
-    iterations = 0
-    averaging = False
     avg = None
     avg_count = 0
-    while iterations < max_iters:
+    used_averaging = False
+    while len(residuals) < max_iters:
         nxt = ch.apply_raw(omega)
-        iterations += 1
         trace_rows.append(np.real(np.diagonal(nxt)).copy())
-        r = trace_distance_raw(nxt, omega)
-        residuals.append(r)
-        if averaging:
+        residuals.append(trace_distance_raw(nxt, omega))
+        omega = nxt
+        if avg is not None:
             avg = (avg * avg_count + nxt) / (avg_count + 1)
             avg_count += 1
             if trace_distance_raw(ch.apply_raw(avg), avg) <= tol:
-                return _finalize_matrix(ch, avg, tol, iterations, trace_rows, True)
-        if r <= tol:
-            return _finalize_matrix(ch, nxt, tol, iterations, trace_rows, False)
+                omega, used_averaging = avg, True
+                break
+        if residuals[-1] <= tol:
+            break
         if (
-            not averaging
+            avg is None
             and len(residuals) > _STAGNATION_WINDOW
             and residuals[-1] >= residuals[-1 - _STAGNATION_WINDOW]
         ):
-            averaging = True
             avg = nxt.copy()
             avg_count = 1
-        omega = nxt
-    final = avg if averaging else omega
-    return _finalize_matrix(ch, final, tol, iterations, trace_rows, averaging)
+    else:
+        if avg is not None:
+            omega, used_averaging = avg, True
+    mat = 0.5 * (omega + omega.conj().T)
+    mat /= np.real(np.trace(mat))
+    residual = trace_distance_raw(ch.apply_raw(mat), mat)
+    return FixedPointResult(
+        sigma=DensityMatrix(ch.ctc_qubits, mat),
+        residual=residual,
+        iterations=len(residuals),
+        converged=bool(residual <= tol),
+        trace=np.array(trace_rows),
+        used_averaging=used_averaging,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,10 +360,16 @@ def probe_fixed_points(
     cluster_tol: float = CLUSTER_TOL,
 ) -> ProbeResult:
     """Solve from every CTC basis state and from the maximally mixed state,
-    then cluster the converged results by pairwise trace distance."""
+    then cluster the converged results by pairwise trace distance.
+
+    For a register-swap channel each start is first replaced by its
+    :func:`cesaro_limit`, so the solve only has to confirm it.
+    """
     dim = ch.dim
     starts = [DensityMatrix(ch.ctc_qubits, _basis_projector(dim, j)) for j in range(dim)]
     starts.append(DensityMatrix.maximally_mixed(ch.ctc_qubits))
+    if ch.prep_vectors is not None:
+        starts = [cesaro_limit(ch, init) for init in starts]
     reps: list[FixedPointResult] = []
     dropped = 0
     for init in starts:

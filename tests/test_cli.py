@@ -73,6 +73,14 @@ def test_decode_k3(capsys):
     assert doc["fixed_point"]["converged"] is True
 
 
+def test_decode_n4_default_flags_reaches_the_fixed_point(capsys):
+    code, out = run_cli(capsys, "decode", "--n", "4", "--k", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["fixed_point"]["converged"] is True
+    assert doc["success_prob"] >= 1 - 1e-9
+
+
 def test_decode_invalid_k(capsys):
     code, out = run_cli(capsys, "decode", "--n", "2", "--k", "4")
     assert code == 1
@@ -154,6 +162,17 @@ def test_clone_grid_state(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["min_fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_clone_slow_chain_with_default_flags(capsys):
+    # Contracts at ~0.998 per step: iterating from the basis starts would
+    # need ~2.5k steps, beyond the default iteration cap.
+    code, out = run_cli(capsys, "clone", "--n", "3", "--m", "3",
+                        "--theta", "7pi/8", "--phi", "0.4")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dropped_starts"] == 0
+    assert len(doc["per_fixed_point"]) == 1
 
 
 def test_clone_rejects_out_of_range_theta(capsys):

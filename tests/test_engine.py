@@ -209,17 +209,19 @@ def test_probe_decoder_unique_fixed_point():
 
 
 def test_probe_cloner_zero_state_multiple_fixed_points():
-    circuit = build_cloner(2, 2)
-    cr_input = clone_cr_input(2, 2, 0.0, 0.0)
-    ch = kraus_from(circuit, cr_input)
-    probe = probe_fixed_points(ch, tol=1e-10)
-    assert len(probe.fixed_points) >= 4
-    # The four polar-zero basis states are all fixed points and must appear.
-    for l in range(4):
-        target = PureState.basis(4, l).density()
-        assert any(
-            trace_distance(fp, target) < 1e-8 for fp in probe.fixed_points
-        ), f"missing fixed point at azimuthal value {l}"
+    for n, m, count in [(2, 2, 13), (3, 3, 33)]:
+        circuit = build_cloner(n, m)
+        cr_input = clone_cr_input(n, m, 0.0, 0.0)
+        ch = kraus_from(circuit, cr_input)
+        probe = probe_fixed_points(ch, tol=1e-10)
+        assert len(probe.fixed_points) == count
+        assert probe.dropped == 0
+        # The polar-zero basis states are all fixed points and must appear.
+        for l in range(2**m):
+            target = PureState.basis(n + m, l).density()
+            assert any(
+                trace_distance(fp, target) < 1e-8 for fp in probe.fixed_points
+            ), f"missing fixed point at azimuthal value {l}"
 
 
 def test_probe_cloner_grid_state_unique():
@@ -298,6 +300,18 @@ def test_averaging_resolves_oscillation_structured_path():
     assert res.used_averaging
     assert res.converged
     assert np.max(np.abs(res.sigma.matrix - np.eye(2) / 2)) < 1e-10
+
+
+@pytest.mark.parametrize("form", ["prep_vectors", "kraus"])
+def test_probe_periodic_swap_finds_only_the_mixed_state(form):
+    # Every start of the swap channel averages to I/2, including the basis
+    # states whose iterates oscillate forever.
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    ch = CtcChannel(1, prep_vectors=x) if form == "prep_vectors" else CtcChannel(1, kraus=[x])
+    probe = probe_fixed_points(ch)
+    assert probe.dropped == 0
+    assert len(probe.fixed_points) == 1
+    assert np.max(np.abs(probe.fixed_points[0].matrix - np.eye(2) / 2)) < 1e-10
 
 
 # --- unrolled-circuit equivalence ----------------------------------------------------
