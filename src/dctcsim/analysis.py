@@ -8,6 +8,14 @@ matrix computation from the circuit's conditional CTC blocks.  A nonzero
 overlap for every (register value, initial CTC value) pair certifies that
 the self-consistent CTC state is unique, which is what makes the decode
 deterministic.
+
+The decode and clone pipelines take the CR measurement distribution as
+``sigma.diagonal()``.  They start from :func:`cesaro_limit`, which raises
+without prep vectors, and :func:`kraus_from` builds prep vectors only for
+register-swap circuits.  There the swap leaves sigma on the CR register, and
+:func:`apply_with_cr_fixed` rejects any later gate that uses a CR wire other
+than as a control, so the CR populations stay diag(sigma).  The full-circuit
+:func:`dctcsim.engine.readout` is the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .engine import (
     fixed_point_to_json,
     kraus_from,
     probe_fixed_points,
-    readout,
+    readout,  # not called here; perfbench/tracing.py wraps analysis.readout
     solve_fixed_point,
 )
 from .qsim import DensityMatrix, PureState, fidelity, kron
@@ -236,18 +244,17 @@ def decode_experiment(
 ) -> DecodeResult:
     """Encode k into the code state, build the decoder, solve the
     self-consistency fixed point reached from the maximally mixed state, and
-    read the CR register out.  The solve starts at that state's Cesaro limit,
-    so its trace records the one verification step.  Non-convergence
-    propagates as converged=False with partial data rather than an exception.
+    read the CR register out as the fixed point's diagonal (see the module
+    docstring).  The solve starts at that state's Cesaro limit, so its trace
+    records the one verification step.  Non-convergence propagates as
+    converged=False with partial data rather than an exception.
     """
     if n > 4:
         raise ValueError("decode_experiment supports n <= 4")
-    circuit = build_decoder(n)
-    cr_input = decode_cr_input(n, k)
-    channel = kraus_from(circuit, cr_input)
+    channel = kraus_from(build_decoder(n), decode_cr_input(n, k))
     init = cesaro_limit(channel, DensityMatrix.maximally_mixed(n))
     result = solve_fixed_point(channel, init, tol, max_iters)
-    distribution = readout(circuit, cr_input, result.sigma)
+    distribution = result.sigma.diagonal()
     decoded = int(np.argmax(distribution))
     return DecodeResult(
         n=n,
@@ -269,8 +276,9 @@ def convergence_trace(
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    circuit = build_decoder(n)
-    channel = kraus_from(circuit, decode_cr_input(n, k))
+    if n > 8:
+        raise ValueError("convergence_trace supports n <= 8")
+    channel = kraus_from(build_decoder(n), decode_cr_input(n, k))
     omega = initial_ctc_state(init, n)
     rows = [omega.diagonal()]
     for _ in range(iters):
@@ -284,8 +292,8 @@ def convergence_trace(
 
 @dataclass(frozen=True, eq=False)
 class FixedPointEvaluation:
-    """Readout distribution, reconstructed qubit, and fidelity for one fixed
-    point of the cloning channel."""
+    """CR distribution (the fixed point's diagonal), reconstructed qubit, and
+    fidelity for one fixed point of the cloning channel."""
 
     distribution: np.ndarray   # shape (2^n, 2^m), indexed by (polar, azimuthal)
     reconstructed: DensityMatrix
@@ -316,17 +324,15 @@ def clone_fidelity(
     """Fidelity of reconstructing a qubit through the cloning circuit.
 
     Probes the induced channel for fixed points from every basis start; for
-    each fixed point found, reads out the (polar, azimuthal) distribution,
-    rebuilds the target qubit as the corresponding mixture of grid states,
-    and evaluates the squared-overlap fidelity against the input.  When the
-    fixed point is not unique every representative is evaluated and the
-    min/max across them is reported.
+    each fixed point found, reads the (polar, azimuthal) distribution off its
+    diagonal (see the module docstring), rebuilds the target qubit as the
+    corresponding mixture of grid states, and evaluates the squared-overlap
+    fidelity against the input.  When the fixed point is not unique every
+    representative is evaluated and the min/max across them is reported.
     """
     if n + m > 8:
         raise ValueError("clone_fidelity supports n + m <= 8")
-    circuit = build_cloner(n, m)
-    cr_input = clone_cr_input(n, m, theta, phi)
-    channel = kraus_from(circuit, cr_input)
+    channel = kraus_from(build_cloner(n, m), clone_cr_input(n, m, theta, phi))
     probe = probe_fixed_points(channel, tol, max_iters)
     if not probe.fixed_points:
         raise ConvergenceError(
@@ -336,7 +342,7 @@ def clone_fidelity(
     target = bloch_state(theta, phi)
     evaluations: list[FixedPointEvaluation] = []
     for res in probe.results:
-        probs = readout(circuit, cr_input, res.sigma).reshape(2**n, 2**m)
+        probs = res.sigma.diagonal().reshape(2**n, 2**m)
         rho = np.zeros((2, 2), dtype=complex)
         for k in range(2**n):
             for l in range(2**m):

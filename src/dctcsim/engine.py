@@ -18,7 +18,9 @@ alone, through the column-stochastic M = |<i|v_j>|^2, so the fixed point that
 iteration from any start reaches is given directly by the Cesaro projector
 of M.  The iterative solver checks each such fixed point in one step; it
 remains the only route for channels given as a literal Kraus list, and the
-oracle the tests compare against.
+oracle the tests compare against.  The CR measurement at such a fixed point
+is its diagonal; :func:`readout` computes it through the full circuit and is
+kept only as the oracle for that shortcut.
 """
 
 from __future__ import annotations
@@ -80,14 +82,10 @@ class CtcChannel:
         *,
         prep_vectors: np.ndarray | None = None,
         kraus: list[np.ndarray] | None = None,
-        circuit: Circuit | None = None,
-        cr_input: PureState | None = None,
     ):
         if (prep_vectors is None) == (kraus is None):
             raise ValueError("provide exactly one of prep_vectors or kraus")
         self.ctc_qubits = int(ctc_qubits)
-        self.circuit = circuit
-        self.cr_input = cr_input
         dim = 2**self.ctc_qubits
         if prep_vectors is not None:
             vec = np.asarray(prep_vectors, dtype=complex)
@@ -193,9 +191,7 @@ def kraus_from(circuit: Circuit, cr_input: PureState) -> CtcChannel:
         vecs = np.empty((dim, dim), dtype=complex)
         for j in range(dim):
             vecs[:, j] = apply_with_cr_fixed(circuit, j, cr_input.amplitudes)
-        return CtcChannel(
-            width, prep_vectors=vecs, circuit=circuit, cr_input=cr_input
-        )
+        return CtcChannel(width, prep_vectors=vecs)
     # Fallback for circuits without the swap/conditional-block structure:
     # push |input> x |w> columns through the full circuit and slice.
     d_cr = 2**width
@@ -205,9 +201,7 @@ def kraus_from(circuit: Circuit, cr_input: PureState) -> CtcChannel:
         batch = apply_matrix_on_wires(batch, gate_matrix(g), g.wires, circuit.qubit_count)
     blocks = batch.reshape(d_cr, d_ctc, d_ctc)
     ops = [np.array(blocks[i]) for i in range(d_cr)]
-    return CtcChannel(
-        len(layout.ctc_wires), kraus=ops, circuit=circuit, cr_input=cr_input
-    )
+    return CtcChannel(len(layout.ctc_wires), kraus=ops)
 
 
 def _is_register_swap_circuit(circuit: Circuit) -> bool:
@@ -404,6 +398,10 @@ def readout(circuit: Circuit, cr_input: PureState, sigma: DensityMatrix) -> np.n
     Applies the full circuit to cr_input x sigma, traces out the CTC
     register, and returns the diagonal of the reduced CR state as exact
     probabilities indexed by register value (no sampling).
+
+    This is the full-circuit oracle the tests compare against.  For
+    register-swap circuits it equals ``sigma.diagonal()`` to rounding, which
+    the pipelines use instead.
     """
     layout = circuit.layout
     if layout is None:

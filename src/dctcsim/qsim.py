@@ -89,14 +89,6 @@ class PureState:
         dim = 2**qubit_count
         return cls(qubit_count, np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes: Iterable[complex]) -> "PureState":
-        amps = np.asarray(list(amplitudes), dtype=complex)
-        n = int(round(np.log2(amps.shape[0])))
-        if 2**n != amps.shape[0]:
-            raise ValueError("amplitude count is not a power of two")
-        return cls(n, amps)
-
     def density(self) -> "DensityMatrix":
         """Rank-one density matrix |psi><psi|."""
         v = self.amplitudes
@@ -146,12 +138,6 @@ class DensityMatrix:
     def maximally_mixed(cls, qubit_count: int) -> "DensityMatrix":
         dim = 2**qubit_count
         return cls(qubit_count, np.eye(dim, dtype=complex) / dim)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "DensityMatrix":
-        matrix = np.asarray(matrix, dtype=complex)
-        n = int(round(np.log2(matrix.shape[0])))
-        return cls(n, matrix)
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal populations in the computational basis."""

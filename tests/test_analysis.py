@@ -17,6 +17,7 @@ from dctcsim.analysis import (
     clone_fidelity,
     clone_result_to_json,
     convergence_trace,
+    decode_cr_input,
     decode_experiment,
     decode_result_to_json,
     initial_ctc_state,
@@ -28,6 +29,7 @@ from dctcsim.analysis import (
     verify_uniqueness,
 )
 from dctcsim.circuits import build_decoder, circuit_unitary, psi_k
+from dctcsim.engine import readout
 from dctcsim.qsim import PureState, kron
 
 SQRT2 = np.sqrt(2.0)
@@ -149,6 +151,15 @@ def test_decode_n3_k5():
     res = decode_experiment(3, 5)
     assert res.decoded == 5
     assert res.success_prob >= 1 - 1e-9
+
+
+def test_decode_distribution_matches_full_circuit_readout():
+    for n in range(1, 5):
+        circuit = build_decoder(n)
+        for k in range(2**n):
+            res = decode_experiment(n, k)
+            oracle = readout(circuit, decode_cr_input(n, k), res.fixed_point.sigma)
+            assert np.max(np.abs(res.distribution - oracle)) <= 1e-12
 
 
 def test_decode_result_json():

@@ -136,6 +136,12 @@ def test_converge_json_format(capsys):
     assert doc["trace"][0] == [0.25, 0.25, 0.25, 0.25]
 
 
+def test_converge_rejects_registers_wider_than_eight(capsys):
+    code, out = run_cli(capsys, "converge", "--n", "9", "--k", "0")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_sweep_json_format(capsys):
     code, out = run_cli(capsys, "sweep", "--n", "1", "--m", "1",
                         "--theta-steps", "2", "--phi-steps", "2", "--format", "json")

@@ -209,13 +209,17 @@ def test_probe_decoder_unique_fixed_point():
 
 
 def test_probe_cloner_zero_state_multiple_fixed_points():
-    for n, m, count in [(2, 2, 13), (3, 3, 33)]:
+    # The full-circuit readout must equal the diagonal.  At (3,3) each one
+    # pushes a 12-qubit batch, so only every eighth fixed point is checked.
+    for n, m, count, stride in [(2, 2, 13, 1), (3, 3, 33, 8)]:
         circuit = build_cloner(n, m)
         cr_input = clone_cr_input(n, m, 0.0, 0.0)
         ch = kraus_from(circuit, cr_input)
         probe = probe_fixed_points(ch, tol=1e-10)
         assert len(probe.fixed_points) == count
         assert probe.dropped == 0
+        for fp in probe.fixed_points[::stride]:
+            assert np.max(np.abs(readout(circuit, cr_input, fp) - fp.diagonal())) <= 1e-12
         # The polar-zero basis states are all fixed points and must appear.
         for l in range(2**m):
             target = PureState.basis(n + m, l).density()
