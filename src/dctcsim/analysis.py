@@ -340,22 +340,24 @@ def clone_fidelity(
             f"theta={theta}, phi={phi}"
         )
     target = bloch_state(theta, phi)
+    # Row k * 2^m + l holds the grid state for CR value (polar k, azimuthal l).
+    grid = np.array(
+        [
+            bloch_state(np.pi * k / 2**n, 2 * np.pi * l / 2**m).amplitudes
+            for k in range(2**n)
+            for l in range(2**m)
+        ]
+    )
     evaluations: list[FixedPointEvaluation] = []
     for res in probe.results:
-        probs = res.sigma.diagonal().reshape(2**n, 2**m)
-        rho = np.zeros((2, 2), dtype=complex)
-        for k in range(2**n):
-            for l in range(2**m):
-                if probs[k, l] == 0.0:
-                    continue
-                amp = bloch_state(np.pi * k / 2**n, 2 * np.pi * l / 2**m).amplitudes
-                rho += probs[k, l] * np.outer(amp, amp.conj())
+        p = res.sigma.diagonal()
+        rho = grid.T @ (p[:, None] * grid.conj())
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.real(np.trace(rho))
         reconstructed = DensityMatrix(1, rho)
         evaluations.append(
             FixedPointEvaluation(
-                distribution=probs,
+                distribution=p.reshape(2**n, 2**m),
                 reconstructed=reconstructed,
                 fidelity=fidelity(target, reconstructed),
                 fixed_point=res,

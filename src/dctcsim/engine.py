@@ -16,8 +16,9 @@ K_i = |v_i><i| with v_i the conditional block for CR value i applied to the
 input placed on the CTC register.  The channel then acts on the diagonal
 alone, through the column-stochastic M = |<i|v_j>|^2, so the fixed point that
 iteration from any start reaches is given directly by the Cesaro projector
-of M.  The iterative solver checks each such fixed point in one step; it
-remains the only route for channels given as a literal Kraus list, and the
+of M, and each fixed point is determined by its diagonal.  The iterative
+solver checks each such fixed point in one step; it is the only solver for
+channels given as a literal Kraus list, which cannot be probed, and the
 oracle the tests compare against.  The CR measurement at such a fixed point
 is its diagonal; :func:`readout` computes it through the full circuit and is
 kept only as the oracle for that shortcut.
@@ -335,10 +336,11 @@ def solve_fixed_point(
 class ProbeResult:
     """Distinct fixed points found by multi-start solving.
 
-    ``fixed_points`` holds one representative per cluster (pairwise trace
-    distance below the clustering tolerance merges); the representative is
-    the member with the lowest residual.  Non-converged starts are dropped
-    and counted in ``dropped``.
+    ``fixed_points`` holds one representative per cluster of converged
+    starts whose diagonals lie within :data:`CLUSTER_TOL` in half-L1
+    distance, which for these channels is their trace distance; the
+    representative is the member with the lowest residual.  Non-converged
+    starts are dropped and counted in ``dropped``.
     """
 
     fixed_points: list[DensityMatrix]
@@ -351,28 +353,34 @@ def probe_fixed_points(
     ch: CtcChannel,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    cluster_tol: float = CLUSTER_TOL,
 ) -> ProbeResult:
-    """Solve from every CTC basis state and from the maximally mixed state,
-    then cluster the converged results by pairwise trace distance.
+    """Gate the :func:`cesaro_limit` of every CTC basis state and of the
+    maximally mixed state with one :func:`solve_fixed_point` call each, then
+    cluster the converged results by their diagonals.
 
-    For a register-swap channel each start is first replaced by its
-    :func:`cesaro_limit`, so the solve only has to confirm it.
+    Needs a register-swap channel; :func:`cesaro_limit` raises ValueError
+    for a channel given as a literal Kraus list.  Such a channel maps a
+    state with diagonal p to W diag(p) W^dag, so every fixed point is
+    sigma_p = W diag(p) W^dag with p = diag(sigma_p) = M p, and two fixed
+    points are exactly 1/2 |p - q|_1 apart in trace distance:
+
+    * at most, since sigma_p - sigma_q = sum_j (p_j - q_j) |w_j><w_j| and
+      every column w_j has unit norm;
+    * at least, since taking the diagonal (pinching) never increases the
+      trace norm.
     """
-    dim = ch.dim
-    starts = [DensityMatrix(ch.ctc_qubits, _basis_projector(dim, j)) for j in range(dim)]
+    starts = [PureState.basis(ch.ctc_qubits, j).density() for j in range(ch.dim)]
     starts.append(DensityMatrix.maximally_mixed(ch.ctc_qubits))
-    if ch.prep_vectors is not None:
-        starts = [cesaro_limit(ch, init) for init in starts]
     reps: list[FixedPointResult] = []
     dropped = 0
     for init in starts:
-        res = solve_fixed_point(ch, init, tol, max_iters)
+        res = solve_fixed_point(ch, cesaro_limit(ch, init), tol, max_iters)
         if not res.converged:
             dropped += 1
             continue
+        p = res.sigma.diagonal()
         for i, rep in enumerate(reps):
-            if trace_distance_raw(res.sigma.matrix, rep.sigma.matrix) < cluster_tol:
+            if 0.5 * np.sum(np.abs(p - rep.sigma.diagonal())) < CLUSTER_TOL:
                 if res.residual < rep.residual:
                     reps[i] = res
                 break
@@ -384,12 +392,6 @@ def probe_fixed_points(
         dropped=dropped,
         start_count=len(starts),
     )
-
-
-def _basis_projector(dim: int, j: int) -> np.ndarray:
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[j, j] = 1.0
-    return mat
 
 
 def readout(circuit: Circuit, cr_input: PureState, sigma: DensityMatrix) -> np.ndarray:

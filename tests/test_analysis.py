@@ -28,7 +28,7 @@ from dctcsim.analysis import (
     sweep_rows_to_csv,
     verify_uniqueness,
 )
-from dctcsim.circuits import build_decoder, circuit_unitary, psi_k
+from dctcsim.circuits import bloch_state, build_decoder, circuit_unitary, psi_k
 from dctcsim.engine import readout
 from dctcsim.qsim import PureState, kron
 
@@ -293,6 +293,15 @@ def test_clone_against_closed_form_chain():
         assert res.dropped_starts == 0
         oracle_fid = closed_form_clone_fidelity(n, m, theta, phi)
         assert res.min_fidelity == pytest.approx(oracle_fid, abs=1e-9)
+        # The reconstruction is the distribution's mixture of grid states.
+        for ev in res.per_fixed_point:
+            mix = sum(
+                ev.distribution[k, l]
+                * bloch_state(np.pi * k / 2**n, 2 * np.pi * l / 2**m).density().matrix
+                for k in range(2**n)
+                for l in range(2**m)
+            )
+            assert np.max(np.abs(ev.reconstructed.matrix - mix)) <= 1e-14
 
 
 def test_clone_result_json():

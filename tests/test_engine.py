@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dctcsim.analysis import clone_cr_input, decode_cr_input
-from dctcsim.circuits import build_cloner, build_decoder, circuit_unitary
+from dctcsim.circuits import Circuit, build_cloner, build_decoder, circuit_unitary
 from dctcsim.engine import (
     CtcChannel,
     apply_channel,
@@ -46,6 +46,15 @@ def decoder_channel(n, k):
     return circuit, cr_input, kraus_from(circuit, cr_input)
 
 
+def full_circuit_decoder_channel(n, k):
+    """The decoder's channel built without its slices, so kraus_from takes
+    the full-circuit route and returns a literal Kraus list."""
+    c = build_decoder(n)
+    circuit = Circuit(c.qubit_count, c.gates, c.layout, None)
+    cr_input = decode_cr_input(n, k)
+    return circuit, cr_input, kraus_from(circuit, cr_input)
+
+
 # --- Kraus construction -----------------------------------------------------
 
 
@@ -56,10 +65,11 @@ def test_kraus_completeness():
 
 
 def test_kraus_matches_full_unitary_construction():
-    for n, k in [(2, 0), (2, 1), (2, 3), (3, 5)]:
-        circuit, cr_input, ch = decoder_channel(n, k)
+    cases = [decoder_channel(n, k) for n, k in [(2, 0), (2, 1), (2, 3), (3, 5)]]
+    cases += [full_circuit_decoder_channel(2, k) for k in range(4)]
+    for circuit, cr_input, ch in cases:
         oracle = kraus_via_full_unitary(circuit, cr_input)
-        for got, want in zip(ch.kraus, oracle):
+        for got, want in zip(ch.kraus, oracle, strict=True):
             assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -138,12 +148,13 @@ def test_apply_channel_dimension_mismatch():
 
 
 def test_solve_reaches_basis_fixed_point():
-    _, _, ch = decoder_channel(2, 2)
-    res = solve_fixed_point(ch, DensityMatrix.maximally_mixed(2))
-    assert res.converged
-    assert res.residual <= 1e-10
-    expected = PureState.basis(2, 2).density()
-    assert trace_distance(res.sigma, expected) < 1e-8
+    for route in (decoder_channel, full_circuit_decoder_channel):
+        _, _, ch = route(2, 2)
+        res = solve_fixed_point(ch, DensityMatrix.maximally_mixed(2))
+        assert res.converged
+        assert res.residual <= 1e-10
+        expected = PureState.basis(2, 2).density()
+        assert trace_distance(res.sigma, expected) < 1e-8
 
 
 def test_solve_at_fixed_point_takes_one_iteration():
@@ -218,6 +229,13 @@ def test_probe_cloner_zero_state_multiple_fixed_points():
         probe = probe_fixed_points(ch, tol=1e-10)
         assert len(probe.fixed_points) == count
         assert probe.dropped == 0
+        # The probe clusters by half the L1 distance between diagonals; the
+        # SVD trace distance must give the same number.
+        if n == 2:
+            for a in probe.fixed_points:
+                for b in probe.fixed_points:
+                    half_l1 = 0.5 * np.sum(np.abs(a.diagonal() - b.diagonal()))
+                    assert abs(trace_distance(a, b) - half_l1) <= 1e-12
         for fp in probe.fixed_points[::stride]:
             assert np.max(np.abs(readout(circuit, cr_input, fp) - fp.diagonal())) <= 1e-12
         # The polar-zero basis states are all fixed points and must appear.
@@ -306,16 +324,23 @@ def test_averaging_resolves_oscillation_structured_path():
     assert np.max(np.abs(res.sigma.matrix - np.eye(2) / 2)) < 1e-10
 
 
-@pytest.mark.parametrize("form", ["prep_vectors", "kraus"])
-def test_probe_periodic_swap_finds_only_the_mixed_state(form):
+def test_probe_periodic_swap_finds_only_the_mixed_state():
     # Every start of the swap channel averages to I/2, including the basis
     # states whose iterates oscillate forever.
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    ch = CtcChannel(1, prep_vectors=x) if form == "prep_vectors" else CtcChannel(1, kraus=[x])
-    probe = probe_fixed_points(ch)
+    probe = probe_fixed_points(CtcChannel(1, prep_vectors=x))
     assert probe.dropped == 0
     assert len(probe.fixed_points) == 1
     assert np.max(np.abs(probe.fixed_points[0].matrix - np.eye(2) / 2)) < 1e-10
+
+
+def test_probe_rejects_kraus_list_channels():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(ValueError):
+        probe_fixed_points(CtcChannel(1, kraus=[x]))
+    _, _, ch = full_circuit_decoder_channel(2, 1)
+    with pytest.raises(ValueError):
+        probe_fixed_points(ch)
 
 
 # --- unrolled-circuit equivalence ----------------------------------------------------

@@ -81,6 +81,11 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(1, np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(1, np.diag([1.5, -0.5]))  # negative population
+    # Hermitian, unit trace, non-negative diagonal, yet an eigenvalue of -1/4.
+    u = np.array([1, 1, 0, 0]) / np.sqrt(2)
+    w = np.array([1, -1, 0, 0]) / np.sqrt(2)
+    with pytest.raises(ValueError):
+        DensityMatrix(2, np.eye(4) / 4 - 0.5 * np.outer(u, u) + 0.5 * np.outer(w, w))
 
 
 def test_states_are_immutable():
