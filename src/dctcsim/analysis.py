@@ -4,18 +4,20 @@ and the mutual-information accounting for the coding scheme.
 
 The uniqueness check compares two routes to the same overlap: a closed-form
 expression built from the fan-out/popcount block amplitudes, and a direct
-matrix computation from the circuit's conditional CTC blocks.  A nonzero
+matrix computation from the circuit's conditional CTC blocks, all of which
+:func:`apply_with_cr_fixed` builds in one pass per code input.  A nonzero
 overlap for every (register value, initial CTC value) pair certifies that
 the self-consistent CTC state is unique, which is what makes the decode
 deterministic.
 
 The decode and clone pipelines take the CR measurement distribution as
-``sigma.diagonal()``.  They start from :func:`cesaro_limit`, which raises
-without prep vectors, and :func:`kraus_from` builds prep vectors only for
-register-swap circuits.  There the swap leaves sigma on the CR register, and
-:func:`apply_with_cr_fixed` rejects any later gate that uses a CR wire other
-than as a control, so the CR populations stay diag(sigma).  The full-circuit
-:func:`dctcsim.engine.readout` is the oracle the tests compare against.
+``sigma.diagonal()``.  :func:`kraus_from` builds a channel only for
+register-swap circuits, from the conditional blocks of
+:func:`apply_with_cr_fixed`.  There the swap leaves sigma on the CR register,
+and :func:`apply_with_cr_fixed` rejects any later gate that uses a CR wire
+other than as a control, so the CR populations stay diag(sigma).  The
+full-circuit :func:`dctcsim.engine.readout` is the oracle the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -118,16 +120,6 @@ def overlap_closed_form(n: int, k: int, j: int) -> float:
     return float(np.sin(theta / 2) * alpha(n, j ^ k) / np.sqrt(2 ** (n - 1)))
 
 
-def _code_register_input(n: int, k: int) -> np.ndarray:
-    """Code qubit for k followed by n-1 zero ancillas, as a flat vector."""
-    vec = psi_k(n, k).amplitudes
-    if n > 1:
-        rest = np.zeros(2 ** (n - 1), dtype=complex)
-        rest[0] = 1.0
-        vec = kron(vec, rest)
-    return vec
-
-
 def numeric_overlap(n: int, k: int, j: int) -> complex:
     """Same overlap as :func:`overlap_closed_form`, computed from matrices:
     the decoder's conditional CTC block for CR value j is applied to the code
@@ -135,9 +127,8 @@ def numeric_overlap(n: int, k: int, j: int) -> complex:
     dim = 2**n
     if not (0 <= k < dim and 0 <= j < dim):
         raise ValueError(f"k={k}, j={j} out of range [0, {dim})")
-    circuit = build_decoder(n)
-    out = apply_with_cr_fixed(circuit, j, _code_register_input(n, k))
-    return complex(out[k])
+    blocks = apply_with_cr_fixed(build_decoder(n), decode_cr_input(n, k).amplitudes)
+    return complex(blocks[k, j])
 
 
 @dataclass(frozen=True)
@@ -165,9 +156,9 @@ def verify_uniqueness(n: int) -> list[OverlapReport]:
     circuit = build_decoder(n)
     reports: list[OverlapReport] = []
     for k in range(dim):
-        code_in = _code_register_input(n, k)
+        blocks = apply_with_cr_fixed(circuit, decode_cr_input(n, k).amplitudes)
         for j in range(dim):
-            numeric = complex(apply_with_cr_fixed(circuit, j, code_in)[k])
+            numeric = complex(blocks[k, j])
             closed = overlap_closed_form(n, k, j)
             err = abs(numeric - closed)
             agree = err <= OVERLAP_ATOL
@@ -196,20 +187,22 @@ def verify_uniqueness(n: int) -> list[OverlapReport]:
 # --- decode and convergence ------------------------------------------------
 
 
+def _with_zero_ancillas(qubit: PureState, width: int) -> PureState:
+    """``qubit`` on wire 0 followed by width - 1 ancillas in |0>."""
+    vec = qubit.amplitudes
+    if width > 1:
+        vec = kron(vec, PureState.basis(width - 1, 0).amplitudes)
+    return PureState(width, vec)
+
+
 def decode_cr_input(n: int, k: int) -> PureState:
     """CR register input for the decoder: code qubit for k plus |0> ancillas."""
-    return PureState(n, _code_register_input(n, k))
+    return _with_zero_ancillas(psi_k(n, k), n)
 
 
 def clone_cr_input(n: int, m: int, theta: float, phi: float) -> PureState:
     """CR register input for the cloner: the target qubit plus |0> ancillas."""
-    vec = bloch_state(theta, phi).amplitudes
-    width = n + m
-    if width > 1:
-        rest = np.zeros(2 ** (width - 1), dtype=complex)
-        rest[0] = 1.0
-        vec = kron(vec, rest)
-    return PureState(width, vec)
+    return _with_zero_ancillas(bloch_state(theta, phi), n + m)
 
 
 def initial_ctc_state(spec: str, qubits: int) -> DensityMatrix:

@@ -298,38 +298,48 @@ _CONTROLLED_BASE = {
 }
 
 
-def apply_with_cr_fixed(
-    circuit: Circuit, cr_value: int, ctc_array: np.ndarray
-) -> np.ndarray:
-    """Apply the non-swap blocks to a CTC-register array with the CR register
-    frozen to a computational basis value.
+def apply_with_cr_fixed(circuit: Circuit, ctc_vector: np.ndarray) -> np.ndarray:
+    """Every conditional CTC block of a register-swap circuit applied to
+    ``ctc_vector``, in one pass over the gates.
 
-    Every gate controlled from a CR wire collapses to either its base
-    one-qubit gate (control bit set) or the identity, so the result is the
-    conditional CTC unitary for that CR value applied to ``ctc_array``.
-    ``ctc_array`` has 2^(register width) rows and may carry batch columns.
+    A register-swap circuit opens with a ``swap`` slice of SWAP gates pairing
+    CR wire i with CTC wire i; after it, each gate acts on CTC wires alone or
+    is a CR-controlled one-qubit gate on a CTC wire.  With the CR register
+    frozen to basis value j, a controlled gate collapses to its base gate
+    (control bit set) or the identity, which leaves the conditional CTC
+    unitary U_j.  Returns the (2^w, 2^w) matrix whose column j is
+    U_j @ ctc_vector, w being the register width; any other circuit raises
+    ValueError.
     """
-    layout = circuit.layout
-    if layout is None or circuit.slices is None:
-        raise ValueError("circuit has no register layout/slices")
+    layout, slices = circuit.layout, circuit.slices
+    if layout is None or slices is None or "swap" not in slices:
+        raise ValueError("circuit has no register layout or swap slice")
+    swap_start, swap_end = slices["swap"]
+    swaps = circuit.gates[swap_start:swap_end]
+    if (
+        swap_start != 0
+        or any(g.kind != "SWAP" for g in swaps)
+        or sorted(g.wires for g in swaps) != sorted(zip(layout.cr_wires, layout.ctc_wires))
+    ):
+        raise ValueError("circuit does not open with a CR/CTC register swap")
     width = layout.width
-    if not 0 <= cr_value < 2**width:
-        raise ValueError(f"cr_value {cr_value} out of range")
+    dim = 2**width
+    vec = np.asarray(ctc_vector, dtype=complex)
+    if vec.shape != (dim,):
+        raise ValueError(f"ctc_vector has shape {vec.shape}, the register needs ({dim},)")
     cr_pos = {w: i for i, w in enumerate(layout.cr_wires)}
     ctc_pos = {w: i for i, w in enumerate(layout.ctc_wires)}
-    _, swap_end = circuit.slices["swap"]
+    cr_values = np.arange(dim)
 
-    out = np.asarray(ctc_array, dtype=complex)
+    out = np.repeat(vec[:, None], dim, axis=1)
     for g in circuit.gates[swap_end:]:
         if g.wires[0] in cr_pos:
             if g.kind not in _CONTROLLED_BASE or g.wires[1] not in ctc_pos:
                 raise ValueError(f"gate {g} is not a CR-controlled CTC gate")
-            bit = (cr_value >> (width - 1 - cr_pos[g.wires[0]])) & 1
-            if not bit:
-                continue
+            cols = np.flatnonzero((cr_values >> (width - 1 - cr_pos[g.wires[0]])) & 1)
             base = Gate(_CONTROLLED_BASE[g.kind], (0,), g.angle)
             target = (ctc_pos[g.wires[1]],)
-            out = apply_matrix_on_wires(out, gate_matrix(base), target, width)
+            out[:, cols] = apply_matrix_on_wires(out[:, cols], gate_matrix(base), target, width)
         else:
             if any(w not in ctc_pos for w in g.wires):
                 raise ValueError(f"gate {g} mixes registers in an unsupported way")

@@ -10,18 +10,19 @@ the map has one Kraus operator per CR basis value,
 
     K_i = (<i|_CR x I) U (|input>_CR x I).
 
-For the register-swap circuits built in :mod:`dctcsim.circuits`, U factors as
-(conditional CTC blocks) x (register swap) and every K_i is rank one:
+The register-swap circuits built in :mod:`dctcsim.circuits` factor U as
+(conditional CTC blocks) x (register swap), so every K_i is rank one:
 K_i = |v_i><i| with v_i the conditional block for CR value i applied to the
-input placed on the CTC register.  The channel then acts on the diagonal
+input placed on the CTC register.  :func:`kraus_from` builds the channel
+from these prep vectors and nothing else.  The channel acts on the diagonal
 alone, through the column-stochastic M = |<i|v_j>|^2, so the fixed point that
 iteration from any start reaches is given directly by the Cesaro projector
 of M, and each fixed point is determined by its diagonal.  The iterative
-solver checks each such fixed point in one step; it is the only solver for
-channels given as a literal Kraus list, which cannot be probed, and the
-oracle the tests compare against.  The CR measurement at such a fixed point
-is its diagonal; :func:`readout` computes it through the full circuit and is
-kept only as the oracle for that shortcut.
+solver checks each such fixed point in one step; it also runs on channels
+given as a literal Kraus list, which cannot be probed and serve the tests as
+the oracle.  The CR measurement at such a fixed point is its diagonal;
+:func:`readout` computes it through the full circuit and is kept only as the
+oracle for that shortcut.
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ class ConvergenceError(RuntimeError):
 
 
 class CtcChannel:
-    """The CPTP map induced on the CTC register by a circuit and CR input.
+    """A CPTP map on the CTC register, given by one of two forms.
 
-    ``kraus`` materializes the full list of 2^(CR width) Kraus matrices; for
-    channels built from register-swap circuits the matrices are generated
-    lazily from their rank-one factors, so large instances never hold the
-    dense list unless asked.
+    ``prep_vectors`` holds the columns v_i of rank-one Kraus operators
+    K_i = |v_i><i|, the form :func:`kraus_from` builds; only this form has
+    :attr:`markov` and :attr:`cesaro`.  ``kraus`` is a literal list of
+    dim x dim Kraus matrices, the oracle form the tests build.
     """
 
     def __init__(
@@ -102,8 +103,8 @@ class CtcChannel:
         else:
             ops = [np.asarray(k, dtype=complex) for k in kraus]
             for k in ops:
-                if k.shape[1] != dim:
-                    raise ValueError("Kraus operator column dimension mismatch")
+                if k.shape != (dim, dim):
+                    raise ValueError(f"Kraus operators must be {dim}x{dim}, got {k.shape}")
             total = sum(k.conj().T @ k for k in ops)
             err = float(np.max(np.abs(total - np.eye(dim))))
             if err > COMPLETENESS_ATOL:
@@ -121,17 +122,6 @@ class CtcChannel:
     def prep_vectors(self) -> np.ndarray | None:
         """Columns v_i of the rank-one factorization K_i = |v_i><i|, if any."""
         return self._prep_vectors
-
-    @property
-    def kraus(self) -> list[np.ndarray]:
-        if self._kraus is not None:
-            return list(self._kraus)
-        ops = []
-        for i in range(self.dim):
-            k = np.zeros((self.dim, self.dim), dtype=complex)
-            k[:, i] = self._prep_vectors[:, i]
-            ops.append(k)
-        return ops
 
     @property
     def markov(self) -> np.ndarray | None:
@@ -172,58 +162,15 @@ class CtcChannel:
 
 
 def kraus_from(circuit: Circuit, cr_input: PureState) -> CtcChannel:
-    """Channel induced on the CTC register by ``circuit`` with a pure CR input.
-
-    Mixed CR inputs are unsupported; every experiment here uses a pure input,
-    which yields the compact one-Kraus-operator-per-basis-value family.
+    """Channel induced on the CTC register by a register-swap ``circuit``
+    with a pure CR input: its prep vectors are the conditional blocks
+    :func:`apply_with_cr_fixed` returns, which raises ValueError for any
+    other circuit.  Mixed CR inputs are unsupported.
     """
     if not isinstance(cr_input, PureState):
         raise TypeError("cr_input must be a PureState (mixed CR inputs unsupported)")
-    layout = circuit.layout
-    if layout is None:
-        raise ValueError("circuit has no register layout")
-    width = layout.width
-    if cr_input.qubit_count != width:
-        raise ValueError(
-            f"cr_input has {cr_input.qubit_count} qubits, CR register has {width}"
-        )
-    if _is_register_swap_circuit(circuit):
-        dim = 2**width
-        vecs = np.empty((dim, dim), dtype=complex)
-        for j in range(dim):
-            vecs[:, j] = apply_with_cr_fixed(circuit, j, cr_input.amplitudes)
-        return CtcChannel(width, prep_vectors=vecs)
-    # Fallback for circuits without the swap/conditional-block structure:
-    # push |input> x |w> columns through the full circuit and slice.
-    d_cr = 2**width
-    d_ctc = 2 ** len(layout.ctc_wires)
-    batch = np.kron(cr_input.amplitudes.reshape(-1, 1), np.eye(d_ctc, dtype=complex))
-    for g in circuit.gates:
-        batch = apply_matrix_on_wires(batch, gate_matrix(g), g.wires, circuit.qubit_count)
-    blocks = batch.reshape(d_cr, d_ctc, d_ctc)
-    ops = [np.array(blocks[i]) for i in range(d_cr)]
-    return CtcChannel(len(layout.ctc_wires), kraus=ops)
-
-
-def _is_register_swap_circuit(circuit: Circuit) -> bool:
-    layout, slices = circuit.layout, circuit.slices
-    if layout is None or slices is None or "swap" not in slices:
-        return False
-    if len(layout.cr_wires) != len(layout.ctc_wires):
-        return False
-    swap_gates = circuit.slice_gates("swap")
-    expected = {
-        (layout.cr_wires[i], layout.ctc_wires[i]) for i in range(layout.width)
-    }
-    got = set()
-    for g in swap_gates:
-        if g.kind != "SWAP":
-            return False
-        got.add(g.wires)
-    a, b = circuit.slices["swap"]
-    if a != 0:
-        return False
-    return got == expected
+    vecs = apply_with_cr_fixed(circuit, cr_input.amplitudes)
+    return CtcChannel(cr_input.qubit_count, prep_vectors=vecs)
 
 
 def apply_channel(ch: CtcChannel, omega: DensityMatrix) -> DensityMatrix:
@@ -358,10 +305,11 @@ def probe_fixed_points(
     maximally mixed state with one :func:`solve_fixed_point` call each, then
     cluster the converged results by their diagonals.
 
-    Needs a register-swap channel; :func:`cesaro_limit` raises ValueError
-    for a channel given as a literal Kraus list.  Such a channel maps a
-    state with diagonal p to W diag(p) W^dag, so every fixed point is
-    sigma_p = W diag(p) W^dag with p = diag(sigma_p) = M p, and two fixed
+    Needs a channel given by prep vectors, as :func:`kraus_from` builds;
+    :func:`cesaro_limit` raises ValueError for a literal Kraus list.  A
+    prep-vector channel maps a state with diagonal p to W diag(p) W^dag, so
+    every fixed point is sigma_p = W diag(p) W^dag with p = diag(sigma_p) =
+    M p, and two fixed
     points are exactly 1/2 |p - q|_1 apart in trace distance:
 
     * at most, since sigma_p - sigma_q = sum_j (p_j - q_j) |w_j><w_j| and

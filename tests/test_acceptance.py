@@ -258,9 +258,10 @@ def test_criterion_7_property_suite():
         (build_decoder(3), decode_cr_input(3, 6)),
         (build_cloner(2, 2), clone_cr_input(2, 2, 0.7, 1.3)),
     ]:
+        # K_j = |v_j><j|, so sum_j K_j^dag K_j - I is diagonal with entries
+        # |v_j|^2 - 1.
         ch = kraus_from(circuit, cr_input)
-        dim = 2**ch.ctc_qubits
-        err = float(np.max(np.abs(sum(k.conj().T @ k for k in ch.kraus) - np.eye(dim))))
+        err = float(np.max(np.abs(np.sum(np.abs(ch.prep_vectors) ** 2, axis=0) - 1.0)))
         worst = max(worst, err)
         ok &= err <= 1e-12
     details.append(f"completeness {worst:.1e}")

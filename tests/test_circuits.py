@@ -180,7 +180,7 @@ def test_rotation_slice_returns_code_state_to_zero():
                      circuit.layout, {"swap": circuit.slices["swap"],
                                       "rotation": (len(circuit.slice_gates("swap")),
                                                    len(circuit.slice_gates("swap")) + len(rot_gates))})
-    out = apply_with_cr_fixed(sliced, 1, code_in)
+    out = apply_with_cr_fixed(sliced, code_in)[:, 1]
     expected = np.zeros(4, dtype=complex)
     expected[0] = 1.0
     assert np.max(np.abs(out - expected)) < 1e-12
@@ -281,7 +281,7 @@ def test_cloner_rotation_slice_inverts_preparation():
          "rotation": (len(swap_gates), len(swap_gates) + len(rot_gates))},
     )
     cr_value = (1 << m) | 1  # polar 1, azimuthal 1
-    out = apply_with_cr_fixed(sliced, cr_value, ctc_in)
+    out = apply_with_cr_fixed(sliced, ctc_in)[:, cr_value]
     phase = out[0] / abs(out[0])
     expected = np.zeros(len(out), dtype=complex)
     expected[0] = phase

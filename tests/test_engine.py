@@ -16,7 +16,7 @@ from dctcsim.engine import (
     simulate_unrolled,
     solve_fixed_point,
 )
-from dctcsim.qsim import DensityMatrix, PureState, partial_trace, trace_distance
+from dctcsim.qsim import DensityMatrix, Gate, PureState, partial_trace, trace_distance
 
 
 def kraus_via_full_unitary(circuit, cr_input):
@@ -47,12 +47,20 @@ def decoder_channel(n, k):
 
 
 def full_circuit_decoder_channel(n, k):
-    """The decoder's channel built without its slices, so kraus_from takes
-    the full-circuit route and returns a literal Kraus list."""
-    c = build_decoder(n)
-    circuit = Circuit(c.qubit_count, c.gates, c.layout, None)
+    """The decoder's channel as a literal Kraus list from the full unitary."""
+    circuit = build_decoder(n)
     cr_input = decode_cr_input(n, k)
-    return circuit, cr_input, kraus_from(circuit, cr_input)
+    return circuit, cr_input, CtcChannel(n, kraus=kraus_via_full_unitary(circuit, cr_input))
+
+
+def rank_one_kraus(ch):
+    """The Kraus list K_j = |v_j><j| of a channel given by prep vectors."""
+    ops = []
+    for j in range(ch.dim):
+        k = np.zeros((ch.dim, ch.dim), dtype=complex)
+        k[:, j] = ch.prep_vectors[:, j]
+        ops.append(k)
+    return ops
 
 
 # --- Kraus construction -----------------------------------------------------
@@ -60,17 +68,48 @@ def full_circuit_decoder_channel(n, k):
 
 def test_kraus_completeness():
     _, _, ch = decoder_channel(2, 0)
-    total = sum(k.conj().T @ k for k in ch.kraus)
+    total = sum(k.conj().T @ k for k in rank_one_kraus(ch))
     assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
 
 def test_kraus_matches_full_unitary_construction():
-    cases = [decoder_channel(n, k) for n, k in [(2, 0), (2, 1), (2, 3), (3, 5)]]
-    cases += [full_circuit_decoder_channel(2, k) for k in range(4)]
-    for circuit, cr_input, ch in cases:
+    cases = [(build_decoder(n), decode_cr_input(n, k)) for n, k in [(2, 0), (2, 1), (2, 3), (3, 5)]]
+    cases += [(build_cloner(1, 1), clone_cr_input(1, 1, 0.7, 1.3))]
+    for circuit, cr_input in cases:
+        ch = kraus_from(circuit, cr_input)
         oracle = kraus_via_full_unitary(circuit, cr_input)
-        for got, want in zip(ch.kraus, oracle, strict=True):
+        for got, want in zip(rank_one_kraus(ch), oracle, strict=True):
             assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_kraus_from_rejects_circuits_without_a_register_swap():
+    c = build_decoder(2)
+    swap_gates = c.slice_gates("swap")
+    shifted = {name: (a + 1, b + 1) for name, (a, b) in c.slices.items()}
+    cr_input = decode_cr_input(2, 1)
+
+    def rebuilt(gates, slices):
+        return Circuit(c.qubit_count, gates, c.layout, slices)
+
+    # Slices stripped: nothing marks the register swap.
+    stripped = rebuilt(c.gates, None)
+    # The swap slice does not start at gate 0.
+    late = rebuilt((Gate("H", (2,)),) + c.gates, shifted)
+    # CR wire 0 swapped with CTC wire 1 and CR wire 1 with CTC wire 0.
+    crossed_swaps = (Gate("SWAP", (0, 3)), Gate("SWAP", (1, 2)))
+    crossed = rebuilt(crossed_swaps + c.gates[len(swap_gates):], c.slices)
+    # A pair swapped twice is swapped back.
+    doubled = rebuilt(swap_gates[:1] + c.gates, shifted | {"swap": (0, len(swap_gates) + 1)})
+    for circuit in (stripped, late, crossed, doubled):
+        with pytest.raises(ValueError):
+            kraus_from(circuit, cr_input)
+
+
+def test_kraus_list_rejects_non_square_operators():
+    # Four rows of I_4 sum to I_4 in K^dag K but are not maps on the register.
+    rows = [np.eye(4)[i : i + 1] for i in range(4)]
+    with pytest.raises(ValueError, match="4x4"):
+        CtcChannel(2, kraus=rows)
 
 
 def test_kraus_rejects_mixed_input():
@@ -99,7 +138,7 @@ def test_channel_matches_conjugation_oracle():
 def test_structured_and_generic_paths_agree():
     rng = np.random.default_rng(5)
     circuit, cr_input, ch = decoder_channel(2, 3)
-    generic = CtcChannel(2, kraus=ch.kraus)
+    generic = CtcChannel(2, kraus=kraus_via_full_unitary(circuit, cr_input))
     for _ in range(5):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         mat = g @ g.conj().T
@@ -186,7 +225,7 @@ def test_solve_seven_iterations_population():
 
 def test_solve_generic_path_matches_structured():
     _, _, ch = decoder_channel(2, 1)
-    generic = CtcChannel(2, kraus=ch.kraus)
+    _, _, generic = full_circuit_decoder_channel(2, 1)
     init = PureState.plus(2).density()
     a = solve_fixed_point(ch, init)
     b = solve_fixed_point(generic, init)
