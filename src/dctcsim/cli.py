@@ -7,7 +7,7 @@ cloning fidelity, and ``cost`` for two-qubit gate accounting.  Outputs are
 JSON or CSV documents on stdout (or ``--out``).  Every pipeline is exact and
 deterministic, so repeated runs with identical flags produce byte-identical
 artifacts.  Exit status is 0 on success and 1 with a machine-readable error
-JSON on any validation or convergence failure.
+JSON on any validation, convergence or ``--out`` write failure.
 """
 
 from __future__ import annotations
@@ -250,13 +250,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        text = _RUNNERS[args.command](args)
-    except (ValueError, TypeError, UniquenessError, ConvergenceError) as exc:
+        _emit(_RUNNERS[args.command](args), args.out)
+    except (ValueError, TypeError, UniquenessError, ConvergenceError, OSError) as exc:
         sys.stdout.write(
             _json_document({"error": {"type": type(exc).__name__, "message": str(exc)}})
         )
         return 1
-    _emit(text, args.out)
     return 0
 
 

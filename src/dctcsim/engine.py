@@ -199,6 +199,22 @@ class FixedPointResult:
     used_averaging: bool
 
 
+def _clean(mat: np.ndarray) -> np.ndarray:
+    """Hermitize and renormalize, dropping accumulated float drift."""
+    mat = 0.5 * (mat + mat.conj().T)
+    return mat / np.real(np.trace(mat))
+
+
+def _cesaro_state(ch: CtcChannel, p0: np.ndarray) -> DensityMatrix:
+    """W diag(Z p0) W^dag, renormalized: the Cesaro limit of any start whose
+    diagonal is ``p0``."""
+    if ch.cesaro is None:
+        raise ValueError("the Cesaro limit needs a channel with prep_vectors")
+    w = ch.prep_vectors
+    mat = (w * np.clip(ch.cesaro @ p0, 0.0, None)) @ w.conj().T
+    return DensityMatrix(ch.ctc_qubits, _clean(mat))
+
+
 def cesaro_limit(ch: CtcChannel, init: DensityMatrix) -> DensityMatrix:
     """The state the running average of N^t(init) converges to.
 
@@ -206,14 +222,9 @@ def cesaro_limit(ch: CtcChannel, init: DensityMatrix) -> DensityMatrix:
     W diag(p) W^dag, and the diagonal to M p, so the limit is W diag(Z p0) W^dag
     with Z the projector :attr:`CtcChannel.cesaro`.
     """
-    if ch.cesaro is None:
-        raise ValueError("the Cesaro limit needs a channel with prep_vectors")
     if init.qubit_count != ch.ctc_qubits:
         raise ValueError("init width does not match channel")
-    p = np.clip(ch.cesaro @ init.diagonal(), 0.0, None)
-    w = ch.prep_vectors
-    mat = (w * (p / p.sum())) @ w.conj().T
-    return DensityMatrix(ch.ctc_qubits, 0.5 * (mat + mat.conj().T))
+    return _cesaro_state(ch, init.diagonal())
 
 
 def solve_fixed_point(
@@ -222,19 +233,22 @@ def solve_fixed_point(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> FixedPointResult:
-    """Iterate omega <- N(omega) until successive iterates are tol-close in
-    trace distance, falling back to a running (Cesaro) average of iterates if
-    the residual stops decreasing over a 10-iteration window.
+    """Iterate omega <- N(omega) until N moves omega by at most tol in trace
+    distance, falling back to a running (Cesaro) average of iterates if the
+    residual stops decreasing over a 10-iteration window.
 
-    Started from a fixed point, such as :func:`cesaro_limit` returns, the
-    solve is a single step that gates the start on its residual.
-
-    The reported residual is always the trace distance between N(sigma) and
-    sigma for the returned sigma, recomputed after a final Hermitize-and-
-    renormalize cleanup of accumulated float drift.
+    Each step measures one residual, that of omega, from the step's own
+    channel application; once averaging starts, the average's residual is
+    measured too.  The returned sigma is the last state whose residual was
+    measured, and ``residual`` is that trace distance between N(sigma) and
+    sigma.  Started from a fixed point, such as :func:`cesaro_limit`
+    returns, the solve is a single step that gates the start on its
+    residual and returns ``init`` itself.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if init.qubit_count != ch.ctc_qubits:
         raise ValueError("init width does not match channel")
     omega = init.matrix
@@ -242,35 +256,29 @@ def solve_fixed_point(
     residuals: list[float] = []
     avg = None
     avg_count = 0
-    used_averaging = False
     while len(residuals) < max_iters:
-        nxt = ch.apply_raw(omega)
+        nxt = _clean(ch.apply_raw(omega))
         trace_rows.append(np.real(np.diagonal(nxt)).copy())
         residuals.append(trace_distance_raw(nxt, omega))
-        omega = nxt
-        if avg is not None:
-            avg = (avg * avg_count + nxt) / (avg_count + 1)
-            avg_count += 1
-            if trace_distance_raw(ch.apply_raw(avg), avg) <= tol:
-                omega, used_averaging = avg, True
-                break
-        if residuals[-1] <= tol:
+        sigma, residual, used_averaging = omega, residuals[-1], False
+        if residual <= tol:
             break
-        if (
-            avg is None
-            and len(residuals) > _STAGNATION_WINDOW
+        if avg is not None:
+            avg = _clean(avg * avg_count + nxt)
+            avg_count += 1
+            residual = trace_distance_raw(_clean(ch.apply_raw(avg)), avg)
+            sigma, used_averaging = avg, True
+            if residual <= tol:
+                break
+        elif (
+            len(residuals) > _STAGNATION_WINDOW
             and residuals[-1] >= residuals[-1 - _STAGNATION_WINDOW]
         ):
-            avg = nxt.copy()
+            avg = nxt
             avg_count = 1
-    else:
-        if avg is not None:
-            omega, used_averaging = avg, True
-    mat = 0.5 * (omega + omega.conj().T)
-    mat /= np.real(np.trace(mat))
-    residual = trace_distance_raw(ch.apply_raw(mat), mat)
+        omega = nxt
     return FixedPointResult(
-        sigma=DensityMatrix(ch.ctc_qubits, mat),
+        sigma=init if sigma is init.matrix else DensityMatrix(ch.ctc_qubits, sigma),
         residual=residual,
         iterations=len(residuals),
         converged=bool(residual <= tol),
@@ -301,15 +309,16 @@ def probe_fixed_points(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> ProbeResult:
-    """Gate the :func:`cesaro_limit` of every CTC basis state and of the
-    maximally mixed state with one :func:`solve_fixed_point` call each, then
-    cluster the converged results by their diagonals.
+    """Gate the Cesaro limit of every CTC basis state and of the maximally
+    mixed state with one :func:`solve_fixed_point` call each, then cluster
+    the converged results by their diagonals.  The limits depend on a start
+    only through its diagonal, so the starts are the rows of the identity
+    and the uniform vector.
 
-    Needs a channel given by prep vectors, as :func:`kraus_from` builds;
-    :func:`cesaro_limit` raises ValueError for a literal Kraus list.  A
-    prep-vector channel maps a state with diagonal p to W diag(p) W^dag, so
-    every fixed point is sigma_p = W diag(p) W^dag with p = diag(sigma_p) =
-    M p, and two fixed
+    Needs a channel given by prep vectors, as :func:`kraus_from` builds; a
+    literal Kraus list raises ValueError.  A prep-vector channel maps a
+    state with diagonal p to W diag(p) W^dag, so every fixed point is
+    sigma_p = W diag(p) W^dag with p = diag(sigma_p) = M p, and two fixed
     points are exactly 1/2 |p - q|_1 apart in trace distance:
 
     * at most, since sigma_p - sigma_q = sum_j (p_j - q_j) |w_j><w_j| and
@@ -317,12 +326,11 @@ def probe_fixed_points(
     * at least, since taking the diagonal (pinching) never increases the
       trace norm.
     """
-    starts = [PureState.basis(ch.ctc_qubits, j).density() for j in range(ch.dim)]
-    starts.append(DensityMatrix.maximally_mixed(ch.ctc_qubits))
+    starts = [*np.eye(ch.dim), np.full(ch.dim, 1.0 / ch.dim)]
     reps: list[FixedPointResult] = []
     dropped = 0
-    for init in starts:
-        res = solve_fixed_point(ch, cesaro_limit(ch, init), tol, max_iters)
+    for p0 in starts:
+        res = solve_fixed_point(ch, _cesaro_state(ch, p0), tol, max_iters)
         if not res.converged:
             dropped += 1
             continue

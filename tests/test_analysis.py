@@ -175,6 +175,13 @@ def test_decode_range_error():
         decode_experiment(5, 0)
 
 
+def test_pipelines_reject_max_iters_below_one_as_the_cli_does():
+    with pytest.raises(ValueError, match="max_iters"):
+        decode_experiment(2, 1, max_iters=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        clone_fidelity(2, 2, 1.0, 0.5, max_iters=-3)
+
+
 # --- convergence traces ---------------------------------------------------------
 
 

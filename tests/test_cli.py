@@ -94,6 +94,16 @@ def test_decode_invalid_n(capsys):
     assert "error" in json.loads(out)
 
 
+def test_unwritable_out_path_gives_error_json(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out = run_cli(capsys, "decode", "--n", "2", "--k", "1", "--out", str(target))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "FileNotFoundError"
+    assert str(target) in doc["error"]["message"]
+    assert not target.exists()
+
+
 # --- uniqueness ---------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ unrolled-circuit equivalence oracle."""
 import numpy as np
 import pytest
 
+from dctcsim import engine
 from dctcsim.analysis import clone_cr_input, decode_cr_input
 from dctcsim.circuits import Circuit, build_cloner, build_decoder, circuit_unitary
 from dctcsim.engine import (
@@ -239,6 +240,25 @@ def test_solve_validates_tolerance():
         solve_fixed_point(ch, DensityMatrix.maximally_mixed(2), tol=0.0)
 
 
+def test_solve_validates_max_iters():
+    _, _, ch = decoder_channel(2, 0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_fixed_point(ch, DensityMatrix.maximally_mixed(2), max_iters=bad)
+
+
+def test_solve_returns_the_last_measured_state_when_iterations_run_out():
+    _, _, ch = decoder_channel(2, 1)
+    init = PureState.plus(2).density()
+    res = solve_fixed_point(ch, init, tol=1e-30, max_iters=1)
+    assert res.sigma is init
+    assert res.residual == pytest.approx(trace_distance(apply_channel(ch, init), init), abs=1e-15)
+    res = solve_fixed_point(ch, init, tol=1e-30, max_iters=7)
+    # Seven applications were made; the sixth iterate is the last one whose
+    # residual the seventh application measured.
+    assert np.max(np.abs(res.sigma.diagonal() - res.trace[6])) < 1e-15
+
+
 def test_nonconvergence_is_flagged_not_raised():
     _, _, ch = decoder_channel(2, 1)
     res = solve_fixed_point(ch, PureState.plus(2).density(), tol=1e-12, max_iters=3)
@@ -283,6 +303,30 @@ def test_probe_cloner_zero_state_multiple_fixed_points():
             assert any(
                 trace_distance(fp, target) < 1e-8 for fp in probe.fixed_points
             ), f"missing fixed point at azimuthal value {l}"
+
+
+def test_probe_measures_one_residual_and_builds_one_state_per_start(monkeypatch):
+    # Each start's Cesaro limit is exact, so its solve is one step: one
+    # residual, and the start itself is returned without a second state.
+    ch = kraus_from(build_cloner(2, 2), clone_cr_input(2, 2, np.pi - 0.1, 2.0))
+    calls = {"trace_distance": 0, "states": 0}
+    trace_distance_raw = engine.trace_distance_raw
+    validate = DensityMatrix.__post_init__
+
+    def counted_distance(a, b):
+        calls["trace_distance"] += 1
+        return trace_distance_raw(a, b)
+
+    def counted_validate(self):
+        calls["states"] += 1
+        validate(self)
+
+    monkeypatch.setattr(engine, "trace_distance_raw", counted_distance)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_validate)
+    probe = probe_fixed_points(ch)
+    assert probe.start_count == 17 and probe.dropped == 0
+    assert calls["trace_distance"] == probe.start_count
+    assert calls["states"] <= probe.start_count
 
 
 def test_probe_cloner_grid_state_unique():
