@@ -21,8 +21,6 @@ from .circuits import (
     build_cloner,
     build_decoder,
     build_encoder,
-    circuit_from_json,
-    circuit_to_json,
     circuit_unitary,
     psi_k,
     two_qubit_gate_count,
@@ -50,7 +48,6 @@ from .analysis import (
     convergence_trace,
     decode_experiment,
     mutual_information,
-    numeric_overlap,
     overlap_closed_form,
     verify_uniqueness,
 )
@@ -61,13 +58,12 @@ __all__ = [
     "DensityMatrix", "Gate", "PureState", "apply_gate", "fidelity", "kron",
     "partial_trace", "trace_distance",
     "Circuit", "RegisterLayout", "apply_circuit", "bloch_state", "build_cloner",
-    "build_decoder", "build_encoder", "circuit_from_json", "circuit_to_json",
-    "circuit_unitary", "psi_k", "two_qubit_gate_count",
+    "build_decoder", "build_encoder", "circuit_unitary", "psi_k",
+    "two_qubit_gate_count",
     "ConvergenceError", "CtcChannel", "FixedPointResult", "ProbeResult",
     "apply_channel", "kraus_from", "probe_fixed_points", "readout",
     "simulate_unrolled", "solve_fixed_point",
     "CloneResult", "DecodeResult", "OverlapReport", "UniquenessError", "alpha",
     "bloch_sweep", "clone_fidelity", "convergence_trace", "decode_experiment",
-    "mutual_information", "numeric_overlap", "overlap_closed_form",
-    "verify_uniqueness",
+    "mutual_information", "overlap_closed_form", "verify_uniqueness",
 ]

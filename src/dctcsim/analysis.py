@@ -57,7 +57,6 @@ __all__ = [
     "UniquenessError",
     "alpha",
     "overlap_closed_form",
-    "numeric_overlap",
     "verify_uniqueness",
     "decode_cr_input",
     "clone_cr_input",
@@ -118,17 +117,6 @@ def overlap_closed_form(n: int, k: int, j: int) -> float:
         return 1.0
     theta = 2 * np.pi * (k - j) / dim
     return float(np.sin(theta / 2) * alpha(n, j ^ k) / np.sqrt(2 ** (n - 1)))
-
-
-def numeric_overlap(n: int, k: int, j: int) -> complex:
-    """Same overlap as :func:`overlap_closed_form`, computed from matrices:
-    the decoder's conditional CTC block for CR value j is applied to the code
-    input for k and the component on basis state k is returned."""
-    dim = 2**n
-    if not (0 <= k < dim and 0 <= j < dim):
-        raise ValueError(f"k={k}, j={j} out of range [0, {dim})")
-    blocks = apply_with_cr_fixed(build_decoder(n), decode_cr_input(n, k).amplitudes)
-    return complex(blocks[k, j])
 
 
 @dataclass(frozen=True)
@@ -238,14 +226,15 @@ def decode_experiment(
     """Encode k into the code state, build the decoder, solve the
     self-consistency fixed point reached from the maximally mixed state, and
     read the CR register out as the fixed point's diagonal (see the module
-    docstring).  The solve starts at that state's Cesaro limit, so its trace
-    records the one verification step.  Non-convergence propagates as
-    converged=False with partial data rather than an exception.
+    docstring).  The solve starts at the Cesaro limit of the uniform
+    diagonal, so its trace records the one verification step.
+    Non-convergence propagates as converged=False with partial data rather
+    than an exception.
     """
     if n > 4:
         raise ValueError("decode_experiment supports n <= 4")
     channel = kraus_from(build_decoder(n), decode_cr_input(n, k))
-    init = cesaro_limit(channel, DensityMatrix.maximally_mixed(n))
+    init = cesaro_limit(channel, np.full(2**n, 2.0**-n))
     result = solve_fixed_point(channel, init, tol, max_iters)
     distribution = result.sigma.diagonal()
     decoded = int(np.argmax(distribution))

@@ -22,7 +22,6 @@ which is what makes the linear two-qubit gate count emerge.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -40,7 +39,6 @@ from .qsim import (
 __all__ = [
     "RegisterLayout",
     "Circuit",
-    "SLICE_NAMES",
     "psi_k",
     "bloch_state",
     "build_encoder",
@@ -50,11 +48,7 @@ __all__ = [
     "circuit_unitary",
     "apply_circuit",
     "apply_with_cr_fixed",
-    "circuit_to_json",
-    "circuit_from_json",
 ]
-
-SLICE_NAMES = ("swap", "rotation", "fanout", "popcount_rotation", "xor_copy")
 
 MAX_APPLY_QUBITS = 16   # statevector application limit
 MAX_UNITARY_QUBITS = 10  # full-matrix materialization limit
@@ -346,47 +340,3 @@ def apply_with_cr_fixed(circuit: Circuit, ctc_vector: np.ndarray) -> np.ndarray:
             wires = tuple(ctc_pos[w] for w in g.wires)
             out = apply_matrix_on_wires(out, gate_matrix(g), wires, width)
     return out
-
-
-# --- serialization --------------------------------------------------------
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    """Stable JSON document: {qubit_count, gates, layout, slices}."""
-    doc: dict = {
-        "qubit_count": circuit.qubit_count,
-        "gates": [
-            {"kind": g.kind, "wires": list(g.wires)}
-            | ({"angle": g.angle} if g.angle is not None else {})
-            for g in circuit.gates
-        ],
-        "layout": None
-        if circuit.layout is None
-        else {
-            "n": circuit.layout.n,
-            "m": circuit.layout.m,
-            "cr_wires": list(circuit.layout.cr_wires),
-            "ctc_wires": list(circuit.layout.ctc_wires),
-        },
-        "slices": None
-        if circuit.slices is None
-        else {k: list(v) for k, v in circuit.slices.items()},
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def circuit_from_json(text: str) -> Circuit:
-    doc = json.loads(text)
-    gates = tuple(
-        Gate(g["kind"], tuple(g["wires"]), g.get("angle")) for g in doc["gates"]
-    )
-    layout = None
-    if doc.get("layout") is not None:
-        lay = doc["layout"]
-        layout = RegisterLayout(
-            lay["n"], lay["m"], tuple(lay["cr_wires"]), tuple(lay["ctc_wires"])
-        )
-    slices = None
-    if doc.get("slices") is not None:
-        slices = {k: (v[0], v[1]) for k, v in doc["slices"].items()}
-    return Circuit(doc["qubit_count"], gates, layout, slices)

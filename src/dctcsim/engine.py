@@ -16,13 +16,14 @@ K_i = |v_i><i| with v_i the conditional block for CR value i applied to the
 input placed on the CTC register.  :func:`kraus_from` builds the channel
 from these prep vectors and nothing else.  The channel acts on the diagonal
 alone, through the column-stochastic M = |<i|v_j>|^2, so the fixed point that
-iteration from any start reaches is given directly by the Cesaro projector
-of M, and each fixed point is determined by its diagonal.  The iterative
-solver checks each such fixed point in one step; it also runs on channels
-given as a literal Kraus list, which cannot be probed and serve the tests as
-the oracle.  The CR measurement at such a fixed point is its diagonal;
-:func:`readout` computes it through the full circuit and is kept only as the
-oracle for that shortcut.
+iteration from any start reaches is given directly by :func:`cesaro_limit`,
+the Cesaro projector of M applied to the start's diagonal, and each fixed
+point is determined by its diagonal.  :func:`solve_fixed_point` is plain
+iteration: started at such a limit it checks the fixed point in one step.
+It also runs on channels given as a literal Kraus list, which cannot be
+probed and serve the tests as the oracle.  The CR measurement at such a
+fixed point is its diagonal; :func:`readout` computes it through the full
+circuit and is kept only as the oracle for that shortcut.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ CLUSTER_TOL = 1e-6
 # Singular values of M - I at or below this count as zero: the dimension of
 # ker(M - I) is the number of extremal fixed points.
 RANK_TOL = 1e-9
-_STAGNATION_WINDOW = 10
 
 
 class ConvergenceError(RuntimeError):
@@ -75,7 +75,9 @@ class CtcChannel:
     ``prep_vectors`` holds the columns v_i of rank-one Kraus operators
     K_i = |v_i><i|, the form :func:`kraus_from` builds; only this form has
     :attr:`markov` and :attr:`cesaro`.  ``kraus`` is a literal list of
-    dim x dim Kraus matrices, the oracle form the tests build.
+    dim x dim Kraus matrices, the oracle form the tests build.  Both are
+    copied on construction and stored read-only, so the caller's arrays stay
+    writable and cannot change the channel after its completeness check.
     """
 
     def __init__(
@@ -90,7 +92,7 @@ class CtcChannel:
         self.ctc_qubits = int(ctc_qubits)
         dim = 2**self.ctc_qubits
         if prep_vectors is not None:
-            vec = np.asarray(prep_vectors, dtype=complex)
+            vec = np.array(prep_vectors, dtype=complex)
             if vec.shape != (dim, dim):
                 raise ValueError(f"prep_vectors must be {dim}x{dim}, got {vec.shape}")
             norms = np.sum(np.abs(vec) ** 2, axis=0)
@@ -101,10 +103,11 @@ class CtcChannel:
             self._prep_vectors = vec
             self._kraus = None
         else:
-            ops = [np.asarray(k, dtype=complex) for k in kraus]
+            ops = [np.array(k, dtype=complex) for k in kraus]
             for k in ops:
                 if k.shape != (dim, dim):
                     raise ValueError(f"Kraus operators must be {dim}x{dim}, got {k.shape}")
+                k.setflags(write=False)
             total = sum(k.conj().T @ k for k in ops)
             err = float(np.max(np.abs(total - np.eye(dim))))
             if err > COMPLETENESS_ATOL:
@@ -188,7 +191,9 @@ class FixedPointResult:
     ``trace`` holds diagonal populations per iteration: row 0 is the initial
     state, row t the state after t channel applications.  ``converged``
     implies ``residual <= tol``; non-convergence is reported through the
-    flag, never as an exception.
+    flag, never as an exception.  ``used_averaging`` is always False: the
+    solver has no averaging step, and the field stays only because the
+    decode JSON and the benchmark's tracing read it.
     """
 
     sigma: DensityMatrix
@@ -205,26 +210,23 @@ def _clean(mat: np.ndarray) -> np.ndarray:
     return mat / np.real(np.trace(mat))
 
 
-def _cesaro_state(ch: CtcChannel, p0: np.ndarray) -> DensityMatrix:
-    """W diag(Z p0) W^dag, renormalized: the Cesaro limit of any start whose
-    diagonal is ``p0``."""
+def cesaro_limit(ch: CtcChannel, p0: np.ndarray) -> DensityMatrix:
+    """The state the running average of N^t(omega) converges to, for any
+    start omega whose diagonal is ``p0``.
+
+    Needs a register-swap channel: N maps a state with diagonal p to
+    W diag(p) W^dag, and the diagonal to M p, so the limit is
+    W diag(Z p0) W^dag, renormalized, with Z the projector
+    :attr:`CtcChannel.cesaro`.
+    """
     if ch.cesaro is None:
         raise ValueError("the Cesaro limit needs a channel with prep_vectors")
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (ch.dim,):
+        raise ValueError(f"p0 has shape {p0.shape}, the channel needs ({ch.dim},)")
     w = ch.prep_vectors
     mat = (w * np.clip(ch.cesaro @ p0, 0.0, None)) @ w.conj().T
     return DensityMatrix(ch.ctc_qubits, _clean(mat))
-
-
-def cesaro_limit(ch: CtcChannel, init: DensityMatrix) -> DensityMatrix:
-    """The state the running average of N^t(init) converges to.
-
-    Needs a register-swap channel: N maps a state with diagonal p to
-    W diag(p) W^dag, and the diagonal to M p, so the limit is W diag(Z p0) W^dag
-    with Z the projector :attr:`CtcChannel.cesaro`.
-    """
-    if init.qubit_count != ch.ctc_qubits:
-        raise ValueError("init width does not match channel")
-    return _cesaro_state(ch, init.diagonal())
 
 
 def solve_fixed_point(
@@ -234,16 +236,16 @@ def solve_fixed_point(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> FixedPointResult:
     """Iterate omega <- N(omega) until N moves omega by at most tol in trace
-    distance, falling back to a running (Cesaro) average of iterates if the
-    residual stops decreasing over a 10-iteration window.
+    distance, or ``max_iters`` channel applications have run.
 
     Each step measures one residual, that of omega, from the step's own
-    channel application; once averaging starts, the average's residual is
-    measured too.  The returned sigma is the last state whose residual was
-    measured, and ``residual`` is that trace distance between N(sigma) and
-    sigma.  Started from a fixed point, such as :func:`cesaro_limit`
-    returns, the solve is a single step that gates the start on its
-    residual and returns ``init`` itself.
+    channel application.  The returned sigma is the last state whose
+    residual was measured, and ``residual`` is that trace distance between
+    N(sigma) and sigma.  A start whose iterates oscillate, as a periodic
+    chain's do, is reported with ``converged=False``; its fixed point is the
+    :func:`cesaro_limit` of the start.  Started from a fixed point, such as
+    :func:`cesaro_limit` returns, the solve is a single step that gates the
+    start on its residual and returns ``init`` itself.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -253,37 +255,20 @@ def solve_fixed_point(
         raise ValueError("init width does not match channel")
     omega = init.matrix
     trace_rows = [np.real(np.diagonal(omega)).copy()]
-    residuals: list[float] = []
-    avg = None
-    avg_count = 0
-    while len(residuals) < max_iters:
-        nxt = _clean(ch.apply_raw(omega))
-        trace_rows.append(np.real(np.diagonal(nxt)).copy())
-        residuals.append(trace_distance_raw(nxt, omega))
-        sigma, residual, used_averaging = omega, residuals[-1], False
+    for iterations in range(1, max_iters + 1):
+        sigma = omega
+        omega = _clean(ch.apply_raw(sigma))
+        trace_rows.append(np.real(np.diagonal(omega)).copy())
+        residual = trace_distance_raw(omega, sigma)
         if residual <= tol:
             break
-        if avg is not None:
-            avg = _clean(avg * avg_count + nxt)
-            avg_count += 1
-            residual = trace_distance_raw(_clean(ch.apply_raw(avg)), avg)
-            sigma, used_averaging = avg, True
-            if residual <= tol:
-                break
-        elif (
-            len(residuals) > _STAGNATION_WINDOW
-            and residuals[-1] >= residuals[-1 - _STAGNATION_WINDOW]
-        ):
-            avg = nxt
-            avg_count = 1
-        omega = nxt
     return FixedPointResult(
         sigma=init if sigma is init.matrix else DensityMatrix(ch.ctc_qubits, sigma),
         residual=residual,
-        iterations=len(residuals),
+        iterations=iterations,
         converged=bool(residual <= tol),
         trace=np.array(trace_rows),
-        used_averaging=used_averaging,
+        used_averaging=False,
     )
 
 
@@ -330,7 +315,7 @@ def probe_fixed_points(
     reps: list[FixedPointResult] = []
     dropped = 0
     for p0 in starts:
-        res = solve_fixed_point(ch, _cesaro_state(ch, p0), tol, max_iters)
+        res = solve_fixed_point(ch, cesaro_limit(ch, p0), tol, max_iters)
         if not res.converged:
             dropped += 1
             continue
@@ -429,9 +414,7 @@ def simulate_unrolled(
                 vec = apply_matrix_on_wires(vec, gate_matrix(g), mapped, total_qubits)
         block = vec.reshape(d_carrier, -1)
         rho += weights[a] * (block @ block.conj().T)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.real(np.trace(rho))
-    return DensityMatrix(w, rho)
+    return DensityMatrix(w, _clean(rho))
 
 
 def fixed_point_to_json(result: FixedPointResult) -> dict:

@@ -8,14 +8,13 @@ Frozen fixture values come from a closed-form oracle that never touches the
 circuit or channel machinery: the conditional-block amplitudes give a
 column-stochastic transition matrix for the diagonal populations, and the
 fixture numbers are what that chain produces.  The oracle itself is
-reproduced in this module so the freeze stays auditable.
+``closed_form_chain`` in ``tests/oracles.py``, so the freeze stays auditable.
 """
 
 import numpy as np
 import pytest
 
 from dctcsim.analysis import (
-    alpha,
     bloch_sweep,
     clone_cr_input,
     clone_fidelity,
@@ -23,7 +22,6 @@ from dctcsim.analysis import (
     decode_cr_input,
     decode_experiment,
     mutual_information,
-    numeric_overlap,
     overlap_closed_form,
     verify_uniqueness,
 )
@@ -42,6 +40,8 @@ from dctcsim.engine import (
 )
 from dctcsim.qsim import DensityMatrix, PureState, fidelity, trace_distance
 
+from oracles import closed_form_chain
+
 # Population of basis state k after 7 channel applications from the uniform
 # |+>|+> start, identical for every encoded k at width 2.  Frozen from the
 # closed-form chain oracle (exactly 53755/65536); the chain needs 14
@@ -56,20 +56,6 @@ FROZEN_CLONE_ONE_FIDELITY = 7 / 11
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def closed_form_chain(n: int, k: int) -> np.ndarray:
-    d = 2**n
-    m = np.zeros((d, d))
-    for j in range(d):
-        th = 2 * np.pi * (k - j) / d
-        for i in range(d):
-            if i == j:
-                amp = np.cos(th / 2)
-            else:
-                amp = np.sin(th / 2) * alpha(n, i ^ j) / np.sqrt(2 ** (n - 1))
-            m[i, j] = abs(amp) ** 2
-    return m
 
 
 def test_criterion_1_gate_costs():
@@ -120,10 +106,10 @@ def test_criterion_3_uniqueness_overlaps():
     ok &= min_mag > 0.0
     spot = overlap_closed_form(2, 1, 0)
     ok &= abs(spot - (-1 / (2 * np.sqrt(2)))) < 1e-12
-    ok &= abs(numeric_overlap(2, 1, 0) - spot) < 1e-10
+    numeric = {(r.k, r.j): r.numeric for r in verify_uniqueness(2)}
+    ok &= abs(numeric[1, 0] - spot) < 1e-10
     diag_ok = all(
-        overlap_closed_form(2, k, k) == 1.0
-        and abs(numeric_overlap(2, k, k) - 1.0) < 1e-10
+        overlap_closed_form(2, k, k) == 1.0 and abs(numeric[k, k] - 1.0) < 1e-10
         for k in range(4)
     )
     ok &= diag_ok

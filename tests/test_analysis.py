@@ -22,7 +22,6 @@ from dctcsim.analysis import (
     decode_result_to_json,
     initial_ctc_state,
     mutual_information,
-    numeric_overlap,
     overlap_closed_form,
     overlap_reports_to_json,
     sweep_rows_to_csv,
@@ -32,23 +31,9 @@ from dctcsim.circuits import bloch_state, build_decoder, circuit_unitary, psi_k
 from dctcsim.engine import readout
 from dctcsim.qsim import PureState, kron
 
+from oracles import closed_form_chain
+
 SQRT2 = np.sqrt(2.0)
-
-
-def closed_form_markov(n, k):
-    """Population transition matrix of the width-n decode channel, built from
-    the closed-form conditional-block amplitudes only."""
-    d = 2**n
-    m = np.zeros((d, d))
-    for j in range(d):
-        th = 2 * np.pi * (k - j) / d
-        for i in range(d):
-            if i == j:
-                a = np.cos(th / 2)
-            else:
-                a = np.sin(th / 2) * alpha(n, i ^ j) / np.sqrt(2 ** (n - 1))
-            m[i, j] = abs(a) ** 2
-    return m
 
 
 # --- alpha and overlaps -------------------------------------------------------
@@ -79,14 +64,16 @@ def test_overlap_closed_form_values():
 
 
 def test_numeric_overlap_values():
-    assert numeric_overlap(2, 3, 3) == pytest.approx(1.0, abs=1e-12)
-    val = numeric_overlap(2, 1, 0)
+    reports = verify_uniqueness(2)
+    assert reports[3 * 4 + 3].numeric == pytest.approx(1.0, abs=1e-12)
+    val = reports[1 * 4 + 0].numeric
     assert val.real == pytest.approx(-0.35355339, abs=1e-8)
     assert abs(val.imag) < 1e-12
 
 
 def test_numeric_overlap_all_nonzero_n3():
-    vals = [abs(numeric_overlap(3, k, j)) for k in range(8) for j in range(8)]
+    vals = [abs(r.numeric) for r in verify_uniqueness(3)]
+    assert len(vals) == 64
     assert min(vals) > 0.01
 
 
@@ -95,6 +82,7 @@ def test_overlap_matches_full_unitary_matrix_element():
     for n in (2, 3):
         u = circuit_unitary(build_decoder(n))
         d = 2**n
+        reports = verify_uniqueness(n)
         for k in range(d):
             code_in = psi_k(n, k).amplitudes
             if n > 1:
@@ -105,7 +93,7 @@ def test_overlap_matches_full_unitary_matrix_element():
                 full_in = kron(code_in, PureState.basis(n, j).amplitudes)
                 out = u @ full_in
                 elem = out[j * d + k]
-                assert abs(elem - numeric_overlap(n, k, j)) < 1e-12
+                assert abs(elem - reports[k * d + j].numeric) < 1e-12
 
 
 @pytest.mark.parametrize("n,count", [(1, 4), (2, 16), (3, 64)])
@@ -197,7 +185,7 @@ def test_convergence_trace_uniform_start():
 def test_convergence_trace_matches_closed_form_chain():
     for k in range(4):
         table = convergence_trace(2, k, 7, "plus")
-        m = closed_form_markov(2, k)
+        m = closed_form_chain(2, k)
         p = np.full(4, 0.25)
         for t in range(1, 8):
             p = m @ p

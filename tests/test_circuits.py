@@ -11,8 +11,6 @@ from dctcsim.circuits import (
     build_cloner,
     build_decoder,
     build_encoder,
-    circuit_from_json,
-    circuit_to_json,
     circuit_unitary,
     psi_k,
     two_qubit_gate_count,
@@ -297,22 +295,6 @@ def test_cloner_z_rotations_precede_y_rotations():
     circuit = build_cloner(2, 3)
     kinds = [g.kind for g in circuit.slice_gates("rotation")]
     assert kinds == ["controlled-Rz"] * 3 + ["controlled-Ry"] * 2
-
-
-# --- serialization ------------------------------------------------------------------
-
-
-def test_circuit_json_round_trip():
-    for circuit in (build_decoder(3), build_cloner(2, 1), build_encoder(3, 5)):
-        text = circuit_to_json(circuit)
-        back = circuit_from_json(text)
-        assert back.qubit_count == circuit.qubit_count
-        assert back.gates == circuit.gates
-        assert (back.layout is None) == (circuit.layout is None)
-        if circuit.layout is not None:
-            assert back.layout == circuit.layout
-            assert back.slices == circuit.slices
-        assert circuit_to_json(back) == text
 
 
 def test_apply_circuit_on_density_matrix():

@@ -10,6 +10,7 @@ from dctcsim.circuits import Circuit, build_cloner, build_decoder, circuit_unita
 from dctcsim.engine import (
     CtcChannel,
     apply_channel,
+    cesaro_limit,
     fixed_point_to_json,
     kraus_from,
     probe_fixed_points,
@@ -383,28 +384,51 @@ def test_conjugation_partial_trace_reproduces_basis_fixed_points():
         assert np.max(np.abs(reduced.matrix - expected.matrix)) < 1e-12
 
 
-# --- Cesaro averaging fallback ---------------------------------------------------------
+# --- periodic chains --------------------------------------------------------------------
 
 
-def test_averaging_resolves_oscillation_generic_path():
-    # A unitary permutation channel flips |0> <-> |1> forever; the running
-    # average of iterates is the fixed point I/2.
+def test_oscillation_is_reported_unconverged_generic_path():
+    # A unitary permutation channel flips |0> <-> |1> forever; the solver
+    # iterates, so it runs out of iterations and says so.
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = CtcChannel(1, kraus=[x])
     res = solve_fixed_point(ch, PureState.basis(1, 0).density(), tol=1e-10, max_iters=200)
-    assert res.used_averaging
-    assert res.converged
-    assert np.max(np.abs(res.sigma.matrix - np.eye(2) / 2)) < 1e-10
+    assert not res.converged
+    assert not res.used_averaging
+    assert res.iterations == 200
+    assert res.residual == pytest.approx(1.0, abs=1e-12)
 
 
-def test_averaging_resolves_oscillation_structured_path():
-    # Rank-one factors forming a basis swap oscillate the same way.
+def test_oscillation_is_reported_unconverged_structured_path():
+    # Rank-one factors forming a basis swap oscillate the same way; their
+    # fixed point from |0> is the Cesaro limit I/2, which the solver accepts.
     vecs = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = CtcChannel(1, prep_vectors=vecs)
     res = solve_fixed_point(ch, PureState.basis(1, 0).density(), tol=1e-10, max_iters=200)
-    assert res.used_averaging
-    assert res.converged
-    assert np.max(np.abs(res.sigma.matrix - np.eye(2) / 2)) < 1e-10
+    assert not res.converged
+    assert not res.used_averaging
+    assert res.iterations == 200
+    limit = cesaro_limit(ch, [1, 0])
+    assert np.max(np.abs(limit.matrix - np.eye(2) / 2)) < 1e-12
+    assert solve_fixed_point(ch, limit).converged
+
+
+def test_cesaro_limit_checks_the_start_length():
+    _, _, ch = decoder_channel(2, 1)
+    with pytest.raises(ValueError):
+        cesaro_limit(ch, np.ones(3) / 3)
+
+
+def test_channel_copies_its_inputs():
+    vecs = np.array([[0, 1], [1, 0]], dtype=complex)
+    ch = CtcChannel(1, prep_vectors=vecs)
+    vecs[:] = np.eye(2)  # the caller's array stays writable
+    assert np.array_equal(ch.prep_vectors, [[0, 1], [1, 0]])
+    op = np.eye(2, dtype=complex)
+    ch = CtcChannel(1, kraus=[op])
+    op[0, 0] = 2.0  # would break completeness if the channel held the array
+    rho = PureState.basis(1, 0).density().matrix
+    assert np.array_equal(ch.apply_raw(rho), rho)
 
 
 def test_probe_periodic_swap_finds_only_the_mixed_state():
